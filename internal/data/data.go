@@ -85,6 +85,12 @@ func (t Tuple) Subsumes(u Tuple) bool {
 // String renders a tuple as (v1, v2, ...).
 func (t Tuple) String() string {
 	var b strings.Builder
+	t.WriteTo(&b)
+	return b.String()
+}
+
+// WriteTo appends the String rendering of t to b.
+func (t Tuple) WriteTo(b *strings.Builder) {
 	b.WriteByte('(')
 	for i, v := range t {
 		if i > 0 {
@@ -93,7 +99,6 @@ func (t Tuple) String() string {
 		b.WriteString(v.String())
 	}
 	b.WriteByte(')')
-	return b.String()
 }
 
 // Compare orders tuples lexicographically; it is used to produce

@@ -159,13 +159,14 @@ func (m *Maintainer) Freeze() *Frozen {
 	return &Frozen{perEvent: m.perEvent[:n:n], main: m.main, n: m.processed}
 }
 
-// Explanation returns (a copy of) T_p^ω(ρ, {f}) for event f, as of the
-// freeze point.
-func (f *Frozen) Explanation(i int) Seq { return f.perEvent[i].Clone() }
+// Explanation returns T_p^ω(ρ, {f}) for event f, as of the freeze point.
+// The set is shared, not copied: the maintainer never mutates a stored set,
+// and callers must not either.
+func (f *Frozen) Explanation(i int) Seq { return f.perEvent[i] }
 
-// Minimal returns (a copy of) the minimal p-faithful scenario as of the
-// freeze point.
-func (f *Frozen) Minimal() Seq { return f.main.Clone() }
+// Minimal returns the minimal p-faithful scenario as of the freeze point,
+// shared like Explanation's sets.
+func (f *Frozen) Minimal() Seq { return f.main }
 
 // Len returns the number of events the capture covers.
 func (f *Frozen) Len() int { return f.n }

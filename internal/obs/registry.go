@@ -19,6 +19,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -282,18 +283,33 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	hookMu sync.Mutex
-	hooks  []func()
+	hookMu   sync.Mutex
+	hooks    []gatherHook
+	nextHook uint64
+}
+
+type gatherHook struct {
+	id uint64
+	fn func()
 }
 
 // OnGather registers a hook that runs at the start of every Gather (and
 // hence every /metrics scrape), before families are snapshotted. Hooks pull
 // lazily sampled values — runtime memory stats, uptime — into the registry
-// only when someone is actually reading it.
-func (r *Registry) OnGather(fn func()) {
+// only when someone is actually reading it. The returned func unregisters
+// the hook (idempotent), so a component that closes before the registry
+// does stops being sampled and is no longer kept reachable by it.
+func (r *Registry) OnGather(fn func()) (remove func()) {
 	r.hookMu.Lock()
-	r.hooks = append(r.hooks, fn)
-	r.hookMu.Unlock()
+	defer r.hookMu.Unlock()
+	r.nextHook++
+	id := r.nextHook
+	r.hooks = append(r.hooks, gatherHook{id, fn})
+	return func() {
+		r.hookMu.Lock()
+		defer r.hookMu.Unlock()
+		r.hooks = slices.DeleteFunc(r.hooks, func(h gatherHook) bool { return h.id == id })
+	}
 }
 
 // NewRegistry returns an empty registry.
@@ -433,11 +449,10 @@ type FamilySnapshot struct {
 // snapshot-consistent (see Histogram.Snapshot).
 func (r *Registry) Gather() []FamilySnapshot {
 	r.hookMu.Lock()
-	hooks := make([]func(), len(r.hooks))
-	copy(hooks, r.hooks)
+	hooks := slices.Clone(r.hooks)
 	r.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn()
+	for _, h := range hooks {
+		h.fn()
 	}
 	r.mu.RLock()
 	fams := make([]*family, 0, len(r.families))

@@ -227,6 +227,8 @@ func (k EffectKind) String() string {
 }
 
 // Effect records one update's observable change to the global instance.
+// Before and After are the tuples the instances store, shared with them:
+// they must not be mutated.
 type Effect struct {
 	Kind EffectKind
 	Rel  string
@@ -276,9 +278,9 @@ func ApplyCount(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond
 			if !exists || !v.SeesCount(t, cs) {
 				return nil, nil, fmt.Errorf("program: deletion %s not applicable: key not visible at %s", u, e.Peer())
 			}
-			next := schema.ShallowWith(cur, u.Rel)
+			next := cur.Clone()
 			next.Delete(u.Rel, u.Key)
-			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: u.Key, Before: t.Clone()})
+			effects = append(effects, Effect{Kind: Deleted, Rel: u.Rel, Key: u.Key, Before: t})
 			cur = next
 			continue
 		}
@@ -293,10 +295,10 @@ func ApplyCount(in *schema.Instance, e *Event, s *schema.Collaborative, cs *cond
 		if !v.SeesCount(merged, cs) || !v.Project(merged).Subsumes(u.Args) {
 			return nil, nil, fmt.Errorf("program: insertion %s not applicable: inserted tuple not subsumed by %s's view", u, e.Peer())
 		}
-		ef := Effect{Rel: u.Rel, Key: u.Key, After: merged.Clone()}
+		ef := Effect{Rel: u.Rel, Key: u.Key, After: merged}
 		if existed {
 			ef.Kind = Modified
-			ef.Before = before.Clone()
+			ef.Before = before
 			for i := range merged {
 				if before[i].IsNull() && !merged[i].IsNull() {
 					ef.Filled = append(ef.Filled, i)

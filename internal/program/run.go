@@ -2,6 +2,8 @@ package program
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -39,7 +41,11 @@ type Run struct {
 	consts data.ValueSet // const(P)
 	seen   data.ValueSet // values of the initial and all later instances
 	fresh  *data.FreshSource
-	views  map[viewKey]*schema.ViewInstance
+	// views caches each peer's views in step order. ViewAt derives a view
+	// from the latest cached one at or before its step, so consecutive
+	// entries share every node the steps between them left alone, and a
+	// step that changes nothing at the peer shares the whole view.
+	views map[schema.Peer][]cachedView
 
 	// prof, when non-nil, attributes candidate-enumeration and replay cost
 	// to the evaluation profiler. Nil (the default) keeps the original
@@ -54,9 +60,7 @@ type Run struct {
 // sink (see ViewAt) rather than the one active when they were built.
 func (r *Run) SetProfiler(sc *prof.Scope) {
 	if r.prof != sc {
-		for k := range r.views {
-			delete(r.views, k)
-		}
+		clear(r.views)
 	}
 	r.prof = sc
 }
@@ -64,9 +68,9 @@ func (r *Run) SetProfiler(sc *prof.Scope) {
 // Profiler returns the run's profiler scope (nil when profiling is off).
 func (r *Run) Profiler() *prof.Scope { return r.prof }
 
-type viewKey struct {
+type cachedView struct {
 	step int
-	peer schema.Peer
+	vi   *schema.ViewInstance
 }
 
 // NewRun starts a run of p from the empty instance.
@@ -91,7 +95,7 @@ func NewRunFromShared(p *Program, initial *schema.Instance) *Run {
 		consts:  p.Constants(),
 		seen:    data.NewValueSet(),
 		fresh:   data.NewFreshSource("ν"),
-		views:   make(map[viewKey]*schema.ViewInstance),
+		views:   make(map[schema.Peer][]cachedView),
 	}
 	r.seen.AddAll(initial.ADom())
 	return r
@@ -128,16 +132,35 @@ func (r *Run) InstanceAt(i int) *schema.Instance {
 func (r *Run) Current() *schema.Instance { return r.InstanceAt(len(r.Steps) - 1) }
 
 // ViewAt returns I_i@p (memoized); i may be -1 for the initial instance.
+// It derives the view from p's latest cached view at an earlier step by
+// applying the view changes of the steps in between (StepViewChanges), and
+// builds from scratch only when p has no earlier view. Backtracking
+// searches that truncate and re-extend the run derive every sibling from
+// the view of their common parent.
 func (r *Run) ViewAt(i int, p schema.Peer) *schema.ViewInstance {
-	k := viewKey{i, p}
-	if v, ok := r.views[k]; ok {
-		return v
+	cache := r.views[p]
+	j := sort.Search(len(cache), func(k int) bool { return cache[k].step > i }) - 1
+	if j >= 0 && cache[j].step == i {
+		return cache[j].vi
 	}
-	// The run's own counter block (not the process-global sink) receives
-	// the condition evals of this view's materialization, so N runs in one
-	// process attribute selection work to their own profilers.
-	v := schema.ViewOf(r.InstanceAt(i), r.Prog.Schema, p).CountConds(r.prof.CondCounts())
-	r.views[k] = v
+	var v *schema.ViewInstance
+	if j < 0 {
+		// The run's own counter block (not the process-global sink)
+		// receives the condition evals of this view's materialization, so
+		// N runs in one process attribute selection work to their own
+		// profilers.
+		v = schema.ViewOf(r.InstanceAt(i), r.Prog.Schema, p).CountConds(r.prof.CondCounts())
+	} else {
+		var changes []schema.ViewChange
+		for k := cache[j].step + 1; k <= i; k++ {
+			changes = StepViewChanges(r.Prog.Schema, &r.Steps[k], p, r.prof.CondCounts(), changes)
+		}
+		v = cache[j].vi
+		if len(changes) > 0 {
+			v = v.Derive(r.InstanceAt(i), changes)
+		}
+	}
+	r.views[p] = slices.Insert(cache, j+1, cachedView{i, v})
 	return v
 }
 
@@ -164,6 +187,31 @@ func StepVisibleAtCount(s *schema.Collaborative, st *Step, p schema.Peer, cs *co
 	if st.Event.Peer() == p {
 		return true
 	}
+	changed := false
+	eachViewChange(s, st, p, cs, func(schema.ViewChange) bool {
+		changed = true
+		return false
+	})
+	return changed
+}
+
+// StepViewChanges appends to out the changes step st makes to p's view: one
+// entry per effect whose visible projection at p differs before and after
+// it. Applied in order to p's view before the step (ViewInstance.Derive),
+// they give p's view after it.
+func StepViewChanges(s *schema.Collaborative, st *Step, p schema.Peer, cs *cond.EvalCounts, out []schema.ViewChange) []schema.ViewChange {
+	eachViewChange(s, st, p, cs, func(ch schema.ViewChange) bool {
+		out = append(out, ch)
+		return true
+	})
+	return out
+}
+
+// eachViewChange calls fn on the changes step st makes to p's view until fn
+// returns false. The check is effect-local: relations the step did not
+// touch cannot change any view, so only the affected tuples' visibility and
+// projections are compared.
+func eachViewChange(s *schema.Collaborative, st *Step, p schema.Peer, cs *cond.EvalCounts, fn func(schema.ViewChange) bool) {
 	for _, ef := range st.Effects {
 		v, ok := s.View(p, ef.Rel)
 		if !ok {
@@ -176,14 +224,13 @@ func StepVisibleAtCount(s *schema.Collaborative, st *Step, p schema.Peer, cs *co
 		if ef.After != nil && v.SeesCount(ef.After, cs) {
 			after = v.Project(ef.After)
 		}
-		if (before == nil) != (after == nil) {
-			return true
+		if (before == nil) == (after == nil) && (before == nil || before.Equal(after)) {
+			continue
 		}
-		if before != nil && !before.Equal(after) {
-			return true
+		if !fn(schema.ViewChange{Rel: ef.Rel, Key: ef.Key, Tuple: after}) {
+			return
 		}
 	}
-	return false
 }
 
 // Schema returns the collaborative schema the run's program is over.
@@ -268,10 +315,10 @@ func (r *Run) Truncate(n int) {
 		r.Steps[i] = Step{} // release the instance
 	}
 	r.Steps = r.Steps[:n]
-	for k := range r.views {
-		if k.step >= n {
-			delete(r.views, k)
-		}
+	for p, cache := range r.views {
+		j := sort.Search(len(cache), func(k int) bool { return cache[k].step >= n })
+		clear(cache[j:])
+		r.views[p] = cache[:j]
 	}
 }
 
@@ -309,7 +356,7 @@ func (r *Run) Candidates(limitPerRule int) []Candidate {
 		}
 		var es query.EvalStats
 		start := time.Now()
-		vals := rl.Body.EvalCollect(vi, limitPerRule, &es)
+		vals := rl.Body.EvalCollect(vi, nil, limitPerRule, &es)
 		r.prof.RuleEval(rl.Name, string(rl.Peer), time.Since(start).Nanoseconds(), &es)
 		for _, val := range vals {
 			out = append(out, Candidate{Rule: rl, Val: val})
@@ -335,35 +382,17 @@ func (r *Run) Fire(c Candidate) (*Event, error) {
 		vi := r.ViewAt(len(r.Steps)-1, c.Rule.Peer)
 		var fulls []query.Valuation
 		if r.prof == nil {
-			fulls = c.Rule.Body.Eval(vi, 0)
+			fulls = c.Rule.Body.EvalCollect(vi, val, 1, nil)
 		} else {
 			var es query.EvalStats
 			start := time.Now()
-			fulls = c.Rule.Body.EvalCollect(vi, 0, &es)
+			fulls = c.Rule.Body.EvalCollect(vi, val, 1, &es)
 			r.prof.RuleEval(c.Rule.Name, string(c.Rule.Peer), time.Since(start).Nanoseconds(), &es)
 		}
-		found := false
-		for _, full := range fulls {
-			consistent := true
-			for k, v := range val {
-				if fv, bound := full[k]; bound && fv != v {
-					consistent = false
-					break
-				}
-			}
-			if consistent {
-				for k, v := range full {
-					if _, bound := val[k]; !bound {
-						val[k] = v
-					}
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
+		if len(fulls) == 0 {
 			return nil, fmt.Errorf("program: rule %s: no body valuation extends %s", c.Rule.Name, val)
 		}
+		val = fulls[0]
 	}
 	for _, v := range c.Rule.FreshVars() {
 		if _, bound := val[v]; bound {

@@ -282,14 +282,17 @@ func (s *EvalStats) scanned(rel string) {
 // are explored in sorted tuple order. The limit caps the number of returned
 // valuations (0 means no cap).
 func (q Query) Eval(vi *schema.ViewInstance, limit int) []Valuation {
-	return q.EvalCollect(vi, limit, nil)
+	return q.EvalCollect(vi, nil, limit, nil)
 }
 
-// EvalCollect is Eval with cost collection: when es is non-nil every literal
-// evaluation, key lookup, scanned tuple and produced valuation is counted
-// into it. A nil es takes the branch-free accounting skips and nothing else,
-// so Eval and the profiler-disabled engine pay only the es != nil tests.
-func (q Query) EvalCollect(vi *schema.ViewInstance, limit int, es *EvalStats) []Valuation {
+// EvalCollect is Eval from a partial valuation, with cost collection. Only
+// valuations extending from (nil = the empty valuation) are enumerated, in
+// the order Eval would produce them, so a bound key becomes a lookup
+// instead of a scan. When es is non-nil every literal evaluation, key
+// lookup, scanned tuple and produced valuation is counted into it. A nil es
+// takes the branch-free accounting skips and nothing else, so Eval and the
+// profiler-disabled engine pay only the es != nil tests.
+func (q Query) EvalCollect(vi *schema.ViewInstance, from Valuation, limit int, es *EvalStats) []Valuation {
 	// Partition into binders (positive atoms/key atoms) and filters.
 	var binders, filters []Literal
 	for _, l := range q {
@@ -341,16 +344,15 @@ func (q Query) EvalCollect(vi *schema.ViewInstance, limit int, es *EvalStats) []
 			if es != nil {
 				es.Literals++
 			}
-			for _, t := range vi.Tuples(l.Rel) {
+			return vi.Each(l.Rel, func(t data.Tuple) bool {
 				if es != nil {
 					es.scanned(l.Rel)
 				}
 				if next, ok := unify(l.Args, t, val); ok {
-					if !rec(i+1, next) {
-						return false
-					}
+					return rec(i+1, next)
 				}
-			}
+				return true
+			})
 		case KeyAtom:
 			if v, ok := val.Apply(l.Arg); ok {
 				if es != nil {
@@ -365,20 +367,21 @@ func (q Query) EvalCollect(vi *schema.ViewInstance, limit int, es *EvalStats) []
 			if es != nil {
 				es.Literals++
 			}
-			for _, t := range vi.Tuples(l.Rel) {
+			return vi.Each(l.Rel, func(t data.Tuple) bool {
 				if es != nil {
 					es.scanned(l.Rel)
 				}
 				next := val.Clone()
 				next[l.Arg.Var] = t.Key()
-				if !rec(i+1, next) {
-					return false
-				}
-			}
+				return rec(i+1, next)
+			})
 		}
 		return true
 	}
-	rec(0, Valuation{})
+	if from == nil {
+		from = Valuation{}
+	}
+	rec(0, from)
 	return out
 }
 
@@ -411,23 +414,26 @@ func unify(args []Term, t data.Tuple, val Valuation) (Valuation, bool) {
 	if len(args) != len(t) {
 		return nil, false
 	}
-	next := val
-	cloned := false
+	// Check the already-bound positions first, so the tuples a scan
+	// rejects cost no copy of the valuation.
 	for i, a := range args {
+		if v, ok := val.Apply(a); ok && v != t[i] {
+			return nil, false
+		}
+	}
+	next := make(Valuation, len(val)+len(args))
+	for k, v := range val {
+		next[k] = v
+	}
+	for i, a := range args {
+		// A variable repeated in args is bound by its first occurrence.
 		if v, ok := next.Apply(a); ok {
 			if v != t[i] {
 				return nil, false
 			}
 			continue
 		}
-		if !cloned {
-			next = next.Clone()
-			cloned = true
-		}
 		next[a.Var] = t[i]
-	}
-	if !cloned {
-		next = next.Clone()
 	}
 	return next, true
 }

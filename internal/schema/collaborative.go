@@ -14,12 +14,14 @@ import (
 type Collaborative struct {
 	DB    *Database
 	peers []Peer
-	views map[Peer]map[string]*View
+	// views holds each peer's views by relation position in DB.Names(),
+	// nil where the peer has none (the layout of ViewInstance).
+	views map[Peer][]*View
 }
 
 // NewCollaborative creates an empty collaborative schema over db.
 func NewCollaborative(db *Database) *Collaborative {
-	return &Collaborative{DB: db, views: make(map[Peer]map[string]*View)}
+	return &Collaborative{DB: db, views: make(map[Peer][]*View)}
 }
 
 // AddPeer registers a peer without views (views are added with AddView).
@@ -27,7 +29,7 @@ func (s *Collaborative) AddPeer(p Peer) {
 	if _, ok := s.views[p]; ok {
 		return
 	}
-	s.views[p] = make(map[string]*View)
+	s.views[p] = make([]*View, s.DB.Size())
 	s.peers = append(s.peers, p)
 	sort.Slice(s.peers, func(i, j int) bool { return s.peers[i] < s.peers[j] })
 }
@@ -39,10 +41,11 @@ func (s *Collaborative) AddView(v *View) error {
 		return fmt.Errorf("schema: view %s over a relation not in the database", v)
 	}
 	s.AddPeer(v.Peer)
-	if _, dup := s.views[v.Peer][v.Rel.Name]; dup {
+	i, _ := s.DB.index(v.Rel.Name)
+	if s.views[v.Peer][i] != nil {
 		return fmt.Errorf("schema: duplicate view %s@%s", v.Rel.Name, v.Peer)
 	}
-	s.views[v.Peer][v.Rel.Name] = v
+	s.views[v.Peer][i] = v
 	return nil
 }
 
@@ -64,21 +67,24 @@ func (s *Collaborative) HasPeer(p Peer) bool {
 
 // View returns the view R@p, if the peer sees the relation.
 func (s *Collaborative) View(p Peer, rel string) (*View, bool) {
-	v, ok := s.views[p][rel]
-	return v, ok
+	vs, ok := s.views[p]
+	if !ok {
+		return nil, false
+	}
+	i, ok := s.DB.index(rel)
+	if !ok || vs[i] == nil {
+		return nil, false
+	}
+	return vs[i], true
 }
 
 // ViewsAt returns the views of peer p sorted by relation name.
 func (s *Collaborative) ViewsAt(p Peer) []*View {
-	m := s.views[p]
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*View, len(names))
-	for i, n := range names {
-		out[i] = m[n]
+	var out []*View
+	for _, v := range s.views[p] {
+		if v != nil {
+			out = append(out, v)
+		}
 	}
 	return out
 }
@@ -87,7 +93,7 @@ func (s *Collaborative) ViewsAt(p Peer) []*View {
 func (s *Collaborative) PeersSeeing(rel string) []Peer {
 	var out []Peer
 	for _, p := range s.peers {
-		if _, ok := s.views[p][rel]; ok {
+		if _, ok := s.View(p, rel); ok {
 			out = append(out, p)
 		}
 	}
@@ -114,7 +120,7 @@ func (s *Collaborative) CheckLossless() error {
 				cond.Not{C: cond.EqConst{Attr: a, Const: data.Null}},
 			}
 			for _, p := range s.peers {
-				v, ok := s.views[p][name]
+				v, ok := s.View(p, name)
 				if !ok || !v.Has(a) {
 					continue
 				}

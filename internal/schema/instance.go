@@ -2,7 +2,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"collabwf/internal/cond"
@@ -10,104 +9,101 @@ import (
 )
 
 // Instance is a valid instance of a database schema: for each relation, a
-// finite set of tuples with pairwise distinct non-⊥ keys.
+// finite set of tuples with pairwise distinct non-⊥ keys. Relations are
+// persistent trees (rows.go), so copies share storage: Clone is O(relations)
+// and every derived instance retains only the nodes it changed. Stored
+// tuples are immutable — Put and ChaseInsert store copies of their inputs,
+// and callers must not mutate tuples returned by Get or Tuples.
 type Instance struct {
-	db   *Database
-	rels map[string]map[data.Value]data.Tuple
+	db *Database
+	// rels holds each relation's tree, by position in db.Names().
+	rels []*node
 }
 
 // NewInstance returns the empty instance of db.
 func NewInstance(db *Database) *Instance {
-	return &Instance{db: db, rels: make(map[string]map[data.Value]data.Tuple)}
+	return &Instance{db: db, rels: make([]*node, db.Size())}
 }
 
 // DB returns the schema of the instance.
 func (in *Instance) DB() *Database { return in.db }
 
-// Clone returns a deep copy of the instance.
+// Clone returns an independent copy of the instance. It shares every node
+// with the receiver; writes to either copy the path they change.
 func (in *Instance) Clone() *Instance {
-	out := NewInstance(in.db)
-	for name, rows := range in.rels {
-		m := make(map[data.Value]data.Tuple, len(rows))
-		for k, t := range rows {
-			m[k] = t.Clone()
-		}
-		out.rels[name] = m
+	return &Instance{db: in.db, rels: clone(in.rels)}
+}
+
+// rel returns the tree of the named relation (nil when empty or unknown).
+func (in *Instance) rel(name string) *node {
+	if i, ok := in.db.index(name); ok {
+		return in.rels[i]
 	}
-	return out
+	return nil
 }
 
 // Get returns the tuple of relation rel with the given key.
 func (in *Instance) Get(rel string, key data.Value) (data.Tuple, bool) {
-	t, ok := in.rels[rel][key]
-	return t, ok
+	return in.rel(rel).get(key)
 }
 
 // HasKey reports whether rel contains a tuple with the given key — the view
 // relation Key_R of the paper.
 func (in *Instance) HasKey(rel string, key data.Value) bool {
-	_, ok := in.rels[rel][key]
+	_, ok := in.rel(rel).get(key)
 	return ok
 }
 
 // Count returns the number of tuples in rel.
-func (in *Instance) Count(rel string) int { return len(in.rels[rel]) }
+func (in *Instance) Count(rel string) int { return in.rel(rel).count() }
 
 // Empty reports whether the instance has no tuples at all.
 func (in *Instance) Empty() bool {
-	for _, rows := range in.rels {
-		if len(rows) > 0 {
+	for _, n := range in.rels {
+		if n.count() > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Tuples returns the tuples of rel sorted by key, for deterministic
-// iteration.
-func (in *Instance) Tuples(rel string) []data.Tuple {
-	rows := in.rels[rel]
-	keys := make([]data.Value, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	data.SortValues(keys)
-	out := make([]data.Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = rows[k]
-	}
-	return out
-}
+// Tuples returns the tuples of rel sorted by key.
+func (in *Instance) Tuples(rel string) []data.Tuple { return in.rel(rel).list() }
 
 // Keys returns the sorted keys of rel — the contents of Key_R.
 func (in *Instance) Keys(rel string) []data.Value {
-	rows := in.rels[rel]
-	keys := make([]data.Value, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
+	n := in.rel(rel)
+	keys := make([]data.Value, 0, n.count())
+	n.each(func(t data.Tuple) bool {
+		keys = append(keys, t[0])
+		return true
+	})
+	return keys
+}
+
+// check validates t as a tuple of rel and returns the relation's position.
+func (in *Instance) check(rel string, t data.Tuple) (int, error) {
+	i, ok := in.db.index(rel)
+	if !ok {
+		return 0, fmt.Errorf("schema: unknown relation %s", rel)
 	}
-	return data.SortValues(keys)
+	if r := in.db.Relation(rel); len(t) != r.Arity() {
+		return 0, fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), rel)
+	}
+	return i, nil
 }
 
 // Put stores tuple t in rel, replacing any tuple with the same key. The
 // tuple must have the relation's arity and a non-⊥ key.
 func (in *Instance) Put(rel string, t data.Tuple) error {
-	r := in.db.Relation(rel)
-	if r == nil {
-		return fmt.Errorf("schema: unknown relation %s", rel)
-	}
-	if len(t) != r.Arity() {
-		return fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), rel)
+	i, err := in.check(rel, t)
+	if err != nil {
+		return err
 	}
 	if t.Key().IsNull() {
 		return fmt.Errorf("schema: tuple %v has ⊥ key", t)
 	}
-	rows := in.rels[rel]
-	if rows == nil {
-		rows = make(map[data.Value]data.Tuple)
-		in.rels[rel] = rows
-	}
-	rows[t.Key()] = t.Clone()
+	in.rels[i] = in.rels[i].with(t.Clone())
 	return nil
 }
 
@@ -121,75 +117,44 @@ func (in *Instance) MustPut(rel string, t data.Tuple) {
 // Delete removes the tuple of rel with the given key and reports whether it
 // existed.
 func (in *Instance) Delete(rel string, key data.Value) bool {
-	rows := in.rels[rel]
-	if _, ok := rows[key]; !ok {
+	i, ok := in.db.index(rel)
+	if !ok {
 		return false
 	}
-	delete(rows, key)
-	return true
-}
-
-// shallowWith returns a copy of the instance sharing every relation's row
-// map except rel's, which is copied so it can be modified independently.
-// Stored tuples are shared: they are treated as immutable (Put and
-// ChaseInsert clone their inputs; callers must not mutate tuples returned
-// by Get).
-func (in *Instance) shallowWith(rel string) *Instance {
-	out := NewInstance(in.db)
-	for name, rows := range in.rels {
-		out.rels[name] = rows
-	}
-	out.rels[rel] = cloneRows(in.rels[rel])
-	if out.rels[rel] == nil {
-		out.rels[rel] = make(map[data.Value]data.Tuple)
-	}
-	return out
+	in.rels[i], ok = in.rels[i].without(key)
+	return ok
 }
 
 // ChaseInsert computes chase_K(I ∪ {R(t)}) without modifying I: if a tuple
 // with t's key exists, the two are merged by filling ⊥ positions; the result
 // is invalid (error) if they disagree on a non-⊥ attribute or t's key is ⊥.
-// It returns the merged tuple as stored. The result shares untouched
-// relations with the receiver (copy-on-write).
+// It returns the merged tuple as stored. The result shares every node but
+// the changed path with the receiver.
 func (in *Instance) ChaseInsert(rel string, t data.Tuple) (*Instance, data.Tuple, error) {
-	r := in.db.Relation(rel)
-	if r == nil {
-		return nil, nil, fmt.Errorf("schema: unknown relation %s", rel)
-	}
-	if len(t) != r.Arity() {
-		return nil, nil, fmt.Errorf("schema: tuple %v has arity %d, want %d for %s", t, len(t), r.Arity(), rel)
+	i, err := in.check(rel, t)
+	if err != nil {
+		return nil, nil, err
 	}
 	if t.Key().IsNull() {
 		return nil, nil, fmt.Errorf("schema: insertion with ⊥ key into %s", rel)
 	}
 	merged := t.Clone()
-	if old, ok := in.rels[rel][t.Key()]; ok {
-		for i := range merged {
+	if old, ok := in.rels[i].get(t.Key()); ok {
+		for j := range merged {
 			switch {
-			case merged[i].IsNull():
-				merged[i] = old[i]
-			case old[i].IsNull() || old[i] == merged[i]:
+			case merged[j].IsNull():
+				merged[j] = old[j]
+			case old[j].IsNull() || old[j] == merged[j]:
 				// compatible
 			default:
 				return nil, nil, fmt.Errorf("schema: chase conflict in %s on key %s attribute %s: %s vs %s",
-					rel, t.Key(), r.Attrs[i], old[i], merged[i])
+					rel, t.Key(), in.db.Relation(rel).Attrs[j], old[j], merged[j])
 			}
 		}
 	}
-	out := in.shallowWith(rel)
-	out.rels[rel][merged.Key()] = merged
+	out := in.Clone()
+	out.rels[i] = out.rels[i].with(merged)
 	return out, merged, nil
-}
-
-func cloneRows(rows map[data.Value]data.Tuple) map[data.Value]data.Tuple {
-	if rows == nil {
-		return nil
-	}
-	m := make(map[data.Value]data.Tuple, len(rows))
-	for k, t := range rows {
-		m[k] = t
-	}
-	return m
 }
 
 // Equal reports whether two instances over the same schema hold the same
@@ -198,16 +163,9 @@ func (in *Instance) Equal(other *Instance) bool {
 	if other == nil {
 		return in == nil
 	}
-	for _, name := range in.db.Names() {
-		a, b := in.rels[name], other.rels[name]
-		if len(a) != len(b) {
+	for i := range in.rels {
+		if !equalRows(in.rels[i], other.rels[i]) {
 			return false
-		}
-		for k, t := range a {
-			u, ok := b[k]
-			if !ok || !t.Equal(u) {
-				return false
-			}
 		}
 	}
 	return true
@@ -217,14 +175,15 @@ func (in *Instance) Equal(other *Instance) bool {
 // (⊥ excluded).
 func (in *Instance) ADom() data.ValueSet {
 	s := data.NewValueSet()
-	for _, rows := range in.rels {
-		for _, t := range rows {
+	for _, n := range in.rels {
+		n.each(func(t data.Tuple) bool {
 			for _, v := range t {
 				if !v.IsNull() {
 					s.Add(v)
 				}
 			}
-		}
+			return true
+		})
 	}
 	return s
 }
@@ -233,76 +192,153 @@ func (in *Instance) ADom() data.ValueSet {
 // for deduplicating instances during bounded searches.
 func (in *Instance) Fingerprint() string {
 	var b strings.Builder
-	for _, name := range in.db.Names() {
-		b.WriteString(name)
-		b.WriteByte('{')
-		for _, t := range in.Tuples(name) {
-			b.WriteString(t.String())
-		}
-		b.WriteByte('}')
+	for i, name := range in.db.Names() {
+		writeRel(&b, name, in.rels[i])
 	}
 	return b.String()
 }
 
+// writeRel writes name{t1t2…}, the fingerprint of one relation.
+func writeRel(b *strings.Builder, name string, n *node) {
+	b.WriteString(name)
+	b.WriteByte('{')
+	n.each(func(t data.Tuple) bool {
+		t.WriteTo(b)
+		return true
+	})
+	b.WriteByte('}')
+}
+
+// writeFacts writes the tuples of one relation as space-separated facts
+// prefix(t), separated from earlier output by a space.
+func writeFacts(b *strings.Builder, prefix string, n *node) {
+	n.each(func(t data.Tuple) bool {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(prefix)
+		t.WriteTo(b)
+		return true
+	})
+}
+
 // String renders the instance for debugging, omitting empty relations.
 func (in *Instance) String() string {
-	var parts []string
-	for _, name := range in.db.Names() {
-		ts := in.Tuples(name)
-		if len(ts) == 0 {
-			continue
-		}
-		strs := make([]string, len(ts))
-		for i, t := range ts {
-			strs[i] = name + t.String()
-		}
-		parts = append(parts, strings.Join(strs, " "))
+	var b strings.Builder
+	for i, name := range in.db.Names() {
+		writeFacts(&b, name, in.rels[i])
 	}
-	if len(parts) == 0 {
+	if b.Len() == 0 {
 		return "∅"
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
 
 // ViewInstance is the view I@p of a global instance at a peer: for each view
-// R@p, the projected tuples of the selected rows. Relations are
-// materialized lazily on first access; the underlying instance must not be
-// mutated after the view is taken (run instances never are — Apply is
-// copy-on-write).
+// R@p, the projected tuples of the selected rows, stored in the same
+// persistent trees as instances. A view keeping every attribute with
+// selection true shares the instance's tree outright; the others are
+// materialized lazily on first access. Derive builds a later view from an
+// earlier one, sharing every node the intervening changes leave alone. The
+// underlying instance must not be mutated after the view is taken (run
+// instances never are — Apply is copy-on-write).
 type ViewInstance struct {
-	Peer  Peer
-	views map[string]*View
+	Peer Peer
+	// views holds the peer's view of each relation, by position in the
+	// database; nil where the peer has none.
+	views []*View
 	src   *Instance
-	rels  map[string]map[data.Value]data.Tuple
+	// rels holds each viewed relation's visible tuples by position;
+	// unbuilt until the first access materializes it.
+	rels []*node
 	// cnt, when set, receives the condition-eval counts of the view
 	// selections materialized by this instance (per-run profilers); nil
 	// routes them to the process-global cond sink.
 	cnt *cond.EvalCounts
 }
 
-// ViewOf computes I@p under the collaborative schema s.
-func ViewOf(in *Instance, s *Collaborative, p Peer) *ViewInstance {
-	return &ViewInstance{Peer: p, views: s.views[p], src: in,
-		rels: make(map[string]map[data.Value]data.Tuple, len(s.views[p]))}
-}
+// unbuilt marks a relation of a view instance that is not materialized yet.
+var unbuilt = new(node)
 
-// rows materializes (once) and returns the visible projected tuples of rel.
-func (vi *ViewInstance) rows(rel string) map[data.Value]data.Tuple {
-	if rows, ok := vi.rels[rel]; ok {
-		return rows
+// ViewOf computes I@p under the collaborative schema s; in must be an
+// instance of s.DB.
+func ViewOf(in *Instance, s *Collaborative, p Peer) *ViewInstance {
+	views := s.views[p]
+	if views == nil {
+		views = make([]*View, s.DB.Size())
 	}
-	v, ok := vi.views[rel]
-	if !ok {
-		return nil
-	}
-	rows := make(map[data.Value]data.Tuple)
-	for k, t := range vi.src.rels[rel] {
-		if v.SeesCount(t, vi.cnt) {
-			rows[k] = v.Project(t)
+	rels := make([]*node, len(views))
+	for i, v := range views {
+		if v != nil {
+			rels[i] = unbuilt
 		}
 	}
-	vi.rels[rel] = rows
-	return rows
+	return &ViewInstance{Peer: p, views: views, src: in, rels: rels}
+}
+
+// rel materializes (once) and returns the visible projected tuples of the
+// relation at position i.
+func (vi *ViewInstance) rel(i int) *node {
+	if n := vi.rels[i]; n != unbuilt {
+		return n
+	}
+	v, src := vi.views[i], vi.src.rels[i]
+	var n *node
+	if v.full {
+		n = src
+	} else {
+		var ts []data.Tuple
+		src.each(func(t data.Tuple) bool {
+			if v.SeesCount(t, vi.cnt) {
+				ts = append(ts, v.Project(t))
+			}
+			return true
+		})
+		n = build(ts)
+	}
+	vi.rels[i] = n
+	return n
+}
+
+// rows returns the visible tuples of the named relation.
+func (vi *ViewInstance) rows(rel string) *node {
+	if i, ok := vi.src.db.index(rel); ok {
+		return vi.rel(i)
+	}
+	return nil
+}
+
+// ViewChange is one change to a peer's view of a relation: Tuple is the
+// projected tuple now visible under Key, nil when the key left the view.
+type ViewChange struct {
+	Rel   string
+	Key   data.Value
+	Tuple data.Tuple
+}
+
+// Derive returns the peer's view of next, an instance whose view differs
+// from vi's exactly by changes, applied in order. The result shares vi's
+// storage except the paths the changes rewrite; a relation vi has not
+// materialized is left for the result to materialize from next. vi is not
+// modified.
+func (vi *ViewInstance) Derive(next *Instance, changes []ViewChange) *ViewInstance {
+	out := &ViewInstance{Peer: vi.Peer, views: vi.views, src: next, rels: clone(vi.rels), cnt: vi.cnt}
+	for _, ch := range changes {
+		i, ok := next.db.index(ch.Rel)
+		if !ok || vi.views[i] == nil {
+			continue
+		}
+		switch n := out.rels[i]; {
+		case vi.views[i].full:
+			out.rels[i] = next.rels[i]
+		case n == unbuilt:
+		case ch.Tuple == nil:
+			out.rels[i], _ = n.without(ch.Key)
+		default:
+			out.rels[i] = n.with(ch.Tuple)
+		}
+	}
+	return out
 }
 
 // CountConds routes the condition evaluations of selections materialized
@@ -316,112 +352,94 @@ func (vi *ViewInstance) CountConds(cs *cond.EvalCounts) *ViewInstance {
 
 // View returns the view definition for rel at this peer.
 func (vi *ViewInstance) View(rel string) (*View, bool) {
-	v, ok := vi.views[rel]
-	return v, ok
+	if i, ok := vi.src.db.index(rel); ok && vi.views[i] != nil {
+		return vi.views[i], true
+	}
+	return nil, false
 }
 
 // Get returns the projected tuple with the given key in rel.
 func (vi *ViewInstance) Get(rel string, key data.Value) (data.Tuple, bool) {
-	t, ok := vi.rows(rel)[key]
-	return t, ok
+	return vi.rows(rel).get(key)
 }
 
 // HasKey reports whether the peer sees a tuple with this key — the contents
 // of Key_{R@p}.
 func (vi *ViewInstance) HasKey(rel string, key data.Value) bool {
-	_, ok := vi.rows(rel)[key]
+	_, ok := vi.rows(rel).get(key)
 	return ok
 }
 
 // Tuples returns the visible tuples of rel sorted by key.
-func (vi *ViewInstance) Tuples(rel string) []data.Tuple {
-	rows := vi.rows(rel)
-	keys := make([]data.Value, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	data.SortValues(keys)
-	out := make([]data.Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = rows[k]
-	}
-	return out
+func (vi *ViewInstance) Tuples(rel string) []data.Tuple { return vi.rows(rel).list() }
+
+// Each calls fn on the visible tuples of rel in key order until fn returns
+// false — Tuples without copying them into a slice — and reports whether it
+// went through all of them.
+func (vi *ViewInstance) Each(rel string, fn func(data.Tuple) bool) bool {
+	return vi.rows(rel).each(fn)
 }
 
 // Relations returns the names of the relations the peer has a view of,
 // sorted.
 func (vi *ViewInstance) Relations() []string {
-	names := make([]string, 0, len(vi.views))
-	for n := range vi.views {
-		names = append(names, n)
+	var names []string
+	for i, name := range vi.src.db.Names() {
+		if vi.views[i] != nil {
+			names = append(names, name)
+		}
 	}
-	sort.Strings(names)
 	return names
 }
 
 // Equal reports whether two view instances (for the same peer's view
-// schema) contain the same visible tuples.
+// schema) contain the same visible tuples, relation by relation, by name.
 func (vi *ViewInstance) Equal(other *ViewInstance) bool {
 	if other == nil {
 		return vi == nil
 	}
-	names := vi.Relations()
-	otherNames := other.Relations()
-	if len(names) != len(otherNames) {
-		return false
-	}
-	for i := range names {
-		if names[i] != otherNames[i] {
+	n := 0
+	for i, name := range vi.src.db.Names() {
+		if vi.views[i] == nil {
+			continue
+		}
+		j, ok := other.src.db.index(name)
+		if !ok || other.views[j] == nil || !equalRows(vi.rel(i), other.rel(j)) {
 			return false
 		}
+		n++
 	}
-	for _, name := range names {
-		a, b := vi.rows(name), other.rows(name)
-		if len(a) != len(b) {
-			return false
-		}
-		for k, t := range a {
-			u, ok := b[k]
-			if !ok || !t.Equal(u) {
-				return false
-			}
+	for _, v := range other.views {
+		if v != nil {
+			n--
 		}
 	}
-	return true
+	return n == 0
 }
 
 // Fingerprint returns a canonical string for the view instance.
 func (vi *ViewInstance) Fingerprint() string {
 	var b strings.Builder
-	for _, name := range vi.Relations() {
-		b.WriteString(name)
-		b.WriteByte('{')
-		for _, t := range vi.Tuples(name) {
-			b.WriteString(t.String())
+	for i, name := range vi.src.db.Names() {
+		if vi.views[i] != nil {
+			writeRel(&b, name, vi.rel(i))
 		}
-		b.WriteByte('}')
 	}
 	return b.String()
 }
 
 // String renders the view instance.
 func (vi *ViewInstance) String() string {
-	var parts []string
-	for _, name := range vi.Relations() {
-		ts := vi.Tuples(name)
-		if len(ts) == 0 {
-			continue
+	var b strings.Builder
+	for i, name := range vi.src.db.Names() {
+		if vi.views[i] != nil {
+			writeFacts(&b, name+"@"+string(vi.Peer), vi.rel(i))
 		}
-		strs := make([]string, len(ts))
-		for i, t := range ts {
-			strs[i] = name + "@" + string(vi.Peer) + t.String()
-		}
-		parts = append(parts, strings.Join(strs, " "))
 	}
-	if len(parts) == 0 {
+	if b.Len() == 0 {
 		return "∅"
 	}
-	return strings.Join(parts, " ")
+	return b.String()
 }
 
 // Reconstruct rebuilds a global instance from the collective peer views of
@@ -434,7 +452,7 @@ func Reconstruct(in *Instance, s *Collaborative) (*Instance, error) {
 	for _, p := range s.Peers() {
 		vi := ViewOf(in, s, p)
 		for _, name := range vi.Relations() {
-			v := vi.views[name]
+			v, _ := vi.View(name)
 			for _, u := range vi.Tuples(name) {
 				next, _, err := out.ChaseInsert(name, v.Pad(u))
 				if err != nil {
@@ -446,7 +464,3 @@ func Reconstruct(in *Instance, s *Collaborative) (*Instance, error) {
 	}
 	return out, nil
 }
-
-// ShallowWith exposes the copy-on-write copy for the program package: the
-// result shares all relations except rel, whose row map is copied.
-func ShallowWith(in *Instance, rel string) *Instance { return in.shallowWith(rel) }

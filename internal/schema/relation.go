@@ -121,6 +121,13 @@ func (d *Database) Relation(name string) *Relation { return d.rels[name] }
 // Names returns the relation names in sorted order.
 func (d *Database) Names() []string { return d.names }
 
+// index returns the position of the named relation in Names(), the layout
+// of instances and view instances.
+func (d *Database) index(name string) (int, bool) {
+	i := sort.SearchStrings(d.names, name)
+	return i, i < len(d.names) && d.names[i] == name
+}
+
 // Size returns the number of relations.
 func (d *Database) Size() int { return len(d.rels) }
 
@@ -152,6 +159,9 @@ type View struct {
 	Selection cond.Condition
 	pos       map[data.Attr]int // position within the view tuple
 	srcIdx    []int             // position of each view attribute in the base tuple
+	// full caches Full: a view tuple is then the base tuple itself, so a
+	// view instance shares the instance's relation tree.
+	full bool
 }
 
 // NewView builds the view of rel at peer with the given projected attributes
@@ -196,6 +206,7 @@ func NewView(rel *Relation, peer Peer, attrs []data.Attr, sel cond.Condition) (*
 		src, _ := rel.Index(a)
 		v.srcIdx[i] = src
 	}
+	v.full = len(ordered) == rel.Arity() && cond.Valid(sel)
 	return v, nil
 }
 
@@ -223,12 +234,7 @@ func (v *View) Has(a data.Attr) bool {
 // Full reports whether the view exposes all attributes of R with selection
 // true (condition (C1) of the design guidelines requires peers that see a
 // p-visible relation to see it fully).
-func (v *View) Full() bool {
-	if len(v.Attrs) != v.Rel.Arity() {
-		return false
-	}
-	return cond.Valid(v.Selection)
-}
+func (v *View) Full() bool { return v.full }
 
 // Sees evaluates the selection σ(R@p) on a full tuple over R.
 func (v *View) Sees(t data.Tuple) bool {

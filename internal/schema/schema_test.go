@@ -248,12 +248,19 @@ func TestInstanceCloneIsolation(t *testing.T) {
 	in.MustPut("R", data.Tuple{"k", "v"})
 	cp := in.Clone()
 	cp.MustPut("R", data.Tuple{"k2", "w"})
-	cp.rels["R"]["k"][1] = "changed"
+	cp.MustPut("R", data.Tuple{"k", "changed"})
 	if got, _ := in.Get("R", "k"); got[1] != "v" {
 		t.Fatal("clone aliases original tuples")
 	}
 	if in.Count("R") != 1 {
-		t.Fatal("clone aliases original maps")
+		t.Fatal("clone aliases original relations")
+	}
+	// The caller's tuple is copied on Put, so mutating it later is safe.
+	tup := data.Tuple{"k3", "x"}
+	in.MustPut("R", tup)
+	tup[1] = "changed"
+	if got, _ := in.Get("R", "k3"); got[1] != "x" {
+		t.Fatal("Put aliases the caller's tuple")
 	}
 }
 

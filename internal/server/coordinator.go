@@ -107,9 +107,10 @@ type Coordinator struct {
 	// always observes Len() ≥ idx+1. snapSeq counts publications.
 	snap    atomic.Pointer[snapshot]
 	snapSeq uint64
-	// viewStrs caches rendered view strings by (step, peer), shared across
-	// snapshots: the released prefix is immutable, so an entry never goes
-	// stale (rollback only ever targets unreleased events).
+	// viewStrs caches rendered view strings by (step, peer) for the last
+	// viewStrWindow released steps, shared across snapshots: the released
+	// prefix is immutable, so an entry never goes stale (rollback only ever
+	// targets unreleased events). See snapView.
 	viewStrs sync.Map
 	// lockedReads forces reads back onto the mutex path (E17 baseline and
 	// the -locked-reads escape hatch).
@@ -141,6 +142,7 @@ type Coordinator struct {
 	// metrics.go. recoveryTime/recoveredEvents stamp the last recovery so a
 	// later Instrument can surface it.
 	metrics         *Metrics
+	unhook          func() // removes the metrics registry hook; see instrument
 	logger          *slog.Logger
 	recoveryTime    time.Duration
 	recoveredEvents int

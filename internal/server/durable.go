@@ -169,9 +169,7 @@ func Recover(name string, p *program.Program, cfg DurabilityConfig) (*Coordinato
 	c.visCache = make(map[schema.Peer]*visIndex)
 	// The view-string cache needs no reset: nothing can have rendered a view
 	// between New and here (the coordinator has not been returned yet), and
-	// stale entries cannot exist anyway — keys are (step, peer) over the
-	// immutable released prefix. Clear it defensively all the same.
-	c.viewStrs.Range(func(k, _ any) bool { c.viewStrs.Delete(k); return true })
+	// keys are (step, peer) over the immutable released prefix.
 	c.publishSnapshotLocked()
 	c.observeRecovery(time.Since(start), c.run.Len())
 	if cfg.DecisionLog != nil {
@@ -272,6 +270,9 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
+	if c.unhook != nil {
+		c.unhook()
+	}
 	if c.log == nil {
 		c.closeSubscribersLocked()
 		return nil

@@ -6,14 +6,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"collabwf/internal/core"
 	"collabwf/internal/data"
 	"collabwf/internal/design"
 	"collabwf/internal/obs"
 	"collabwf/internal/prof"
+	"collabwf/internal/program"
 	"collabwf/internal/schema"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
@@ -434,4 +437,39 @@ func TestManagerSharedHTTPMetrics(t *testing.T) {
 	if total < 2 {
 		t.Fatalf("wf_http_requests_total = %v, want ≥ 2 (both runs' requests pooled)", total)
 	}
+}
+
+// TestArchivedRunIsCollected pins down that archiving releases a run: the
+// metrics registry outlives every shard, so nothing it holds (its gather
+// hooks in particular) may keep an archived coordinator — and with it the
+// run, its snapshots and its explainers — reachable. The run's finalizer
+// fires only once the coordinator is unreachable.
+func TestArchivedRunIsCollected(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newTestManager(t, ManagerConfig{Registry: reg})
+	if err := m.CreateRun("gone"); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	func() {
+		c, _ := m.Run("gone")
+		if _, err := c.Submit("hr", "clear", map[string]data.Value{"x": "c1"}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(c.run, func(*program.Run) { close(collected) })
+	}()
+	reg.Gather()
+	if err := m.ArchiveRun("gone"); err != nil {
+		t.Fatal(err)
+	}
+	reg.Gather()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("archived run is still reachable")
 }

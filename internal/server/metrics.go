@@ -291,13 +291,16 @@ func (c *Coordinator) InstrumentRun(reg *obs.Registry, run string) *Metrics {
 func (c *Coordinator) instrument(m *Metrics) *Metrics {
 	// The snapshot-age gauge is sampled at scrape time (ages advance whether
 	// or not anything is published; a periodic setter would always be stale).
-	m.reg.OnGather(func() {
+	// Close removes the hook: it captures the coordinator, and a registry
+	// outliving an archived run must neither sample it nor keep it alive.
+	unhook := m.reg.OnGather(func() {
 		if _, age, _ := c.SnapshotInfo(); age > 0 {
 			m.snapAge.Set(age.Seconds())
 		}
 	})
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.unhook = unhook
 	c.metrics = m
 	c.mread.Store(m)
 	m.runEvents.Set(float64(c.observable))

@@ -24,8 +24,14 @@ import (
 //     Append writes only indices ≥ len(steps), and rollbackTo always
 //     targets n ≥ observable, so Truncate zeroes only indices ≥ len(steps).
 //     Readers and the writer touch disjoint memory.
-//   - Instances are copy-on-write (Apply never mutates a predecessor), so
-//     rendering a view over steps[i].Instance reads immutable data.
+//   - Published relation nodes are immutable: a step path-copies the
+//     nodes it changes (schema/rows.go) and shares the rest with its
+//     predecessor, so rendering a view over steps[i].Instance reads nodes
+//     no writer touches again. The run's derived views (Run.ViewAt) share
+//     those nodes too but are reached only under the lock; readers build
+//     their own lazy view over the instance instead.
+//   - Rendered view strings are cached for the last viewStrWindow released
+//     steps only (see snapView), so the cache does not grow with the run.
 //   - vis slices are length-capped captures of the visible-index caches,
 //     which are append-only for the same reason.
 //   - exp holds copy-on-write freezes of the per-peer incremental
@@ -108,6 +114,7 @@ func (c *Coordinator) publishSnapshotLocked() {
 		cnt:     c.profiler.Cond(),
 	}
 	c.snap.Store(s)
+	c.evictViewStrsLocked()
 	c.metrics.snapshotSwapped()
 }
 
@@ -139,26 +146,51 @@ func (c *Coordinator) SnapshotInfo() (seq uint64, age time.Duration, events int)
 }
 
 // vsKey keys the rendered-view-string cache: the peer's view after step
-// (−1 = initial instance). Entries stay valid forever — the released prefix
-// is immutable and rollback only ever targets unreleased events — so the
-// cache is shared across snapshots and never invalidated.
+// (−1 = initial instance).
 type vsKey struct {
 	step int
 	peer schema.Peer
 }
 
+// viewStrWindow is how many of the most recent released steps keep their
+// rendered view strings. A rendered view of a long run is tens of kB per
+// peer, so the window, not the run length, bounds the cache: at most
+// viewStrWindow × peers strings. /view reads the last step; a tail poll of
+// /transitions reads the steps since the poller's previous poll. On the
+// crowd-longrun benchmark (10 submits/s, 60 polls per peer per second) a
+// poll is a fraction of a step behind, and 16 steps is 1.6 s of submits of
+// slack. A read reaching further back (/transitions from 0, a backfill)
+// re-renders each older view on every such request.
+const viewStrWindow = 16
+
 // snapView renders the peer's view after step i of the snapshot, serving
-// repeated reads from the shared string cache. ViewInstance materializes
-// lazily (mutating itself), so the cache stores only the rendered string;
-// each miss builds a private ViewInstance and discards it.
+// repeated reads of the last viewStrWindow steps from the string cache. A
+// miss renders from the step's instance, whose relation trees it shares
+// (a full view is the instance's tree itself); only steps inside the window
+// are cached.
 func (c *Coordinator) snapView(s *snapshot, i int, peer schema.Peer) string {
 	k := vsKey{i, peer}
 	if v, ok := c.viewStrs.Load(k); ok {
 		return v.(string)
 	}
 	str := schema.ViewOf(s.instanceAt(i), s.prog.Schema, peer).String()
-	c.viewStrs.Store(k, str)
+	if i >= s.Len()-viewStrWindow {
+		c.viewStrs.Store(k, str)
+	}
 	return str
+}
+
+// evictViewStrsLocked drops the cached view strings of steps that left the
+// window. It sweeps the whole cache, so an entry a reader of an older
+// snapshot stored after an earlier sweep goes too. Callers hold the lock.
+func (c *Coordinator) evictViewStrsLocked() {
+	low := c.observable - viewStrWindow
+	c.viewStrs.Range(func(k, _ any) bool {
+		if k.(vsKey).step < low {
+			c.viewStrs.Delete(k)
+		}
+		return true
+	})
 }
 
 // snapNotification builds the peer's notification for event idx from the

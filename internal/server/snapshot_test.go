@@ -239,3 +239,50 @@ func TestReadPathMetrics(t *testing.T) {
 		t.Fatalf("wf_snapshot_age_seconds = %v after a scrape, want > 0", got)
 	}
 }
+
+// The rendered-view cache keeps only the last viewStrWindow released steps,
+// however long the run and however far back readers reach; a read outside
+// the window re-renders the same string.
+func TestViewStringCacheBounded(t *testing.T) {
+	prog := workload.Hiring()
+	c := New("Hiring", prog)
+	var first []string
+	for _, peer := range prog.Peers() {
+		v, err := c.View(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first = append(first, v)
+	}
+	steps := randomWorkload(t, prog, 5, 60)
+	for _, s := range steps {
+		if _, err := c.Submit(s.peer, s.rule, s.bindings); err != nil {
+			t.Fatal(err)
+		}
+		for _, peer := range prog.Peers() {
+			if _, _, err := c.TransitionsAndLen(peer, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if c.Len() <= 2*viewStrWindow {
+		t.Fatalf("run of %d events does not outgrow the window", c.Len())
+	}
+	n := 0
+	c.viewStrs.Range(func(k, _ any) bool {
+		if step := k.(vsKey).step; step < c.Len()-viewStrWindow {
+			t.Errorf("step %d of %d still cached", step, c.Len())
+		}
+		n++
+		return true
+	})
+	if max := viewStrWindow * len(prog.Peers()); n > max {
+		t.Fatalf("%d cached view strings, want at most %d", n, max)
+	}
+	s := c.readSnapshot()
+	for i, peer := range prog.Peers() {
+		if got := c.snapView(s, -1, peer); got != first[i] {
+			t.Fatalf("re-rendered initial view of %s = %q, want %q", peer, got, first[i])
+		}
+	}
+}

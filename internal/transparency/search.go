@@ -333,7 +333,7 @@ func (s *searcher) visibleEventsOn(in *schema.Instance) ([]*program.Event, error
 		} else {
 			var es query.EvalStats
 			start := time.Now()
-			bodyVals = rl.Body.EvalCollect(vi, 0, &es)
+			bodyVals = rl.Body.EvalCollect(vi, nil, 0, &es)
 			s.profFresh.RuleEval(rl.Name, string(rl.Peer), time.Since(start).Nanoseconds(), &es)
 		}
 		for _, val := range bodyVals {
