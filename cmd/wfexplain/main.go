@@ -68,11 +68,10 @@ func main() {
 	if !spec.Program.Schema.HasPeer(p) {
 		fatal(fmt.Errorf("unknown peer %s", p))
 	}
-	// One profiler per process, so it may own the process-global condition
-	// counters; nil (flag off) keeps every hook uninstrumented.
+	// The profiler counts the run drive and the -minimum search; the
+	// explanation replays run unprofiled and are not counted. Nil (flag off)
+	// keeps every hook uninstrumented.
 	profiler := profFlags.New()
-	restoreCond := profiler.InstallCond()
-	defer restoreCond()
 	var r *program.Run
 	if *tracePath != "" {
 		f, err := os.Open(*tracePath)

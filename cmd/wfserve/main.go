@@ -229,15 +229,14 @@ func main() {
 		}
 	}
 	// The rule-engine profiler attributes evaluation cost per rule across
-	// the default run's live run, guard checks and decider searches. It owns
-	// the process-global condition counters, but attribution is wired through
-	// the run's own counter sink, so sibling runs in the fleet never bleed
-	// into its tallies (request-scoped /certify?profile=1 profilers
-	// deliberately install nothing global).
+	// the default run's live run and guard checks (a /certify search is
+	// profiled only by its own ?profile=1 profiler). Its condition counters
+	// receive only the default run's own evaluations: every sink is passed
+	// explicitly, so sibling runs in the fleet and unprofiled requests
+	// never bleed into its tallies.
 	profiler := profFlags.New()
 	if profiler.Enabled() {
 		m.Default().SetProfiler(profiler)
-		profiler.InstallCond()
 		profiler.Instrument(reg)
 		fmt.Println("rule-engine profiler on for the default run (wf_rule_*, /debug/rules, /statusz rule_engine)")
 	}

@@ -41,8 +41,6 @@ func E19RuleProfiler(quick bool) (*Table, error) {
 			return nil, err
 		}
 		profiler := prof.New()
-		restore := profiler.InstallCond()
-		defer restore()
 		r := program.NewRun(prog)
 		r.SetProfiler(profiler.Scope("engine"))
 		for i := 1; i <= n; i++ {

@@ -8,7 +8,6 @@ package faithful
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"collabwf/internal/data"
 	"collabwf/internal/program"
@@ -61,8 +60,8 @@ type fill struct {
 }
 
 // Analysis caches the per-run data the faithfulness conditions consume:
-// lifecycles, attribute fills, and the relevant-attribute sets att(R, q).
-// It can be extended incrementally as the underlying run grows (Sync).
+// lifecycles and attribute fills. It can be extended incrementally as the
+// underlying run grows (Sync).
 type Analysis struct {
 	Run *program.Run
 
@@ -70,44 +69,10 @@ type Analysis struct {
 	cycles    map[lcID][]Lifecycle
 	fills     [][]fill // per event index
 
-	// relevant[rel][peer] is att(R, q) = att(R@q) ∪ att(σ(R@q)).
-	relevant map[string]map[schema.Peer]map[data.Attr]bool
-
 	// reqMemo caches, per peer, each event's direct faithfulness
 	// requirements (they depend only on the event and the run, so the
 	// fixpoint is reachability over them). Invalidated by Sync.
 	reqMemo map[schema.Peer][][]int
-}
-
-// relevantCache shares the att(R, q) tables across analyses: they depend
-// only on the schema, and the transparency deciders build one analysis per
-// candidate run — recomputing the tables dominated their setup cost. Keyed
-// by schema identity; entries live as long as the schema, which the
-// long-lived callers (coordinator, deciders) hold anyway.
-var relevantCache sync.Map // *schema.Collaborative → map[string]map[schema.Peer]map[data.Attr]bool
-
-// relevantSets returns the shared, read-only att(R, q) tables for s.
-func relevantSets(s *schema.Collaborative) map[string]map[schema.Peer]map[data.Attr]bool {
-	if v, ok := relevantCache.Load(s); ok {
-		return v.(map[string]map[schema.Peer]map[data.Attr]bool)
-	}
-	relevant := make(map[string]map[schema.Peer]map[data.Attr]bool)
-	for _, name := range s.DB.Names() {
-		relevant[name] = make(map[schema.Peer]map[data.Attr]bool)
-		for _, p := range s.Peers() {
-			v, ok := s.View(p, name)
-			if !ok {
-				continue
-			}
-			set := make(map[data.Attr]bool)
-			for _, attr := range v.RelevantAttrs() {
-				set[attr] = true
-			}
-			relevant[name][p] = set
-		}
-	}
-	actual, _ := relevantCache.LoadOrStore(s, relevant)
-	return actual.(map[string]map[schema.Peer]map[data.Attr]bool)
 }
 
 // NewAnalysis builds the analysis of r, processing all events so far.
@@ -122,10 +87,9 @@ func NewAnalysis(r *program.Run) *Analysis {
 // to observe the run's lifecycle state as of each historical step.
 func NewAnalysisPartial(r *program.Run) *Analysis {
 	a := &Analysis{
-		Run:      r,
-		cycles:   make(map[lcID][]Lifecycle),
-		relevant: relevantSets(r.Prog.Schema),
-		reqMemo:  make(map[schema.Peer][][]int),
+		Run:     r,
+		cycles:  make(map[lcID][]Lifecycle),
+		reqMemo: make(map[schema.Peer][][]int),
 	}
 	s := r.Prog.Schema
 	// Tuples of the initial instance live in lifecycles opened "before"
@@ -225,9 +189,13 @@ func (a *Analysis) filledRelevant(i int, rel string, key data.Value, peers ...sc
 		if f.rel != rel || f.key != key {
 			continue
 		}
-		for _, attr := range f.attrs {
-			for _, p := range peers {
-				if set, ok := a.relevant[rel][p]; ok && set[attr] {
+		for _, p := range peers {
+			v, ok := a.Run.Prog.Schema.View(p, rel)
+			if !ok {
+				continue
+			}
+			for _, attr := range f.attrs {
+				if v.Relevant(attr) {
 					return true
 				}
 			}

@@ -2,7 +2,9 @@ package faithful
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"collabwf/internal/data"
 	"collabwf/internal/program"
@@ -411,4 +413,30 @@ func randomRun(p *program.Program, steps int, seed int64) (*program.Run, error) 
 		}
 	}
 	return r, nil
+}
+
+// TestAnalysisDoesNotRetainSchema: an analysis keeps its schema reachable
+// only through itself, so schemas of finished analyses are collected.
+func TestAnalysisDoesNotRetainSchema(t *testing.T) {
+	const n = 5
+	collected := make(chan struct{}, n)
+	func() {
+		for i := 0; i < n; i++ {
+			prog := workload.Hiring()
+			NewAnalysis(program.NewRun(prog))
+			runtime.SetFinalizer(prog.Schema, func(*schema.Collaborative) { collected <- struct{}{} })
+		}
+	}()
+	for got, i := 0, 0; got < n; {
+		if i == 50 {
+			t.Fatalf("%d of %d schemas collected after their analyses", got, n)
+		}
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-time.After(10 * time.Millisecond):
+			i++
+		}
+	}
 }

@@ -18,8 +18,6 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	if c := p.Cond(); c != nil {
 		t.Fatalf("nil profiler Cond() = %v, want nil", c)
 	}
-	restore := p.InstallCond()
-	restore()
 	var sc *Scope
 	if sc = p.Scope("engine"); sc != nil {
 		t.Fatalf("nil profiler Scope() = %v, want nil", sc)
@@ -58,12 +56,11 @@ func TestDisabledHooksAllocateNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("disabled hooks allocate %.1f objects per call", n)
 	}
-	// The disabled condition-count path is one atomic pointer load.
-	prev := cond.SetCounters(nil)
-	defer cond.SetCounters(prev)
-	c := cond.True{}
+	// An uncounted condition evaluation is one nil check.
+	var c cond.Condition = cond.True{}
+	tup := data.Tuple{}
 	if n := testing.AllocsPerRun(100, func() {
-		c.Eval(nil, data.Tuple{})
+		c.Eval(nil, tup, nil)
 	}); n != 0 {
 		t.Fatalf("disabled cond.Eval allocates %.1f objects per call", n)
 	}
@@ -141,20 +138,6 @@ func TestAttributionAndSnapshot(t *testing.T) {
 	}
 	if len(st.TopRules) != 1 || st.TopRules[0].Rule != "hot" {
 		t.Fatalf("status top rules = %+v", st.TopRules)
-	}
-}
-
-func TestInstallCondCounts(t *testing.T) {
-	p := New()
-	restore := p.InstallCond()
-	c := cond.True{}
-	c.Eval(nil, data.Tuple{})
-	c.Eval(nil, data.Tuple{})
-	restore()
-	c.Eval(nil, data.Tuple{}) // after restore: not counted here
-	snap := p.Snapshot()
-	if snap.Cond.True != 2 || snap.Cond.Total != 2 {
-		t.Fatalf("cond counts = %+v", snap.Cond)
 	}
 }
 

@@ -145,10 +145,9 @@ func (r *Run) ViewAt(i int, p schema.Peer) *schema.ViewInstance {
 	}
 	var v *schema.ViewInstance
 	if j < 0 {
-		// The run's own counter block (not the process-global sink)
-		// receives the condition evals of this view's materialization, so
-		// N runs in one process attribute selection work to their own
-		// profilers.
+		// The run's own profiler counts the condition evals of this view's
+		// materialization, so N runs in one process attribute selection
+		// work to their own profilers.
 		v = schema.ViewOf(r.InstanceAt(i), r.Prog.Schema, p).CountConds(r.prof.CondCounts())
 	} else {
 		var changes []schema.ViewChange
@@ -169,21 +168,15 @@ func (r *Run) ViewAt(i int, p schema.Peer) *schema.ViewInstance {
 // effect-local: relations the event did not touch cannot change any view,
 // so only the affected tuples' visibility and projections are compared.
 func (r *Run) VisibleAt(i int, p schema.Peer) bool {
-	return StepVisibleAtCount(r.Prog.Schema, &r.Steps[i], p, r.prof.CondCounts())
+	return StepVisibleAt(r.Prog.Schema, &r.Steps[i], p, r.prof.CondCounts())
 }
 
 // StepVisibleAt is VisibleAt over a single step, without the run: visibility
 // depends only on the step's event and effects plus the schema, so callers
 // holding an immutable step prefix (the coordinator's read snapshots) can
-// answer it with no access to the live — possibly growing — run.
-func StepVisibleAt(s *schema.Collaborative, st *Step, p schema.Peer) bool {
-	return StepVisibleAtCount(s, st, p, nil)
-}
-
-// StepVisibleAtCount is StepVisibleAt with an explicit condition-eval count
-// sink (nil = the process-global sink), so per-run profilers attribute the
-// visibility checks' selection evaluations to their own run.
-func StepVisibleAtCount(s *schema.Collaborative, st *Step, p schema.Peer, cs *cond.EvalCounts) bool {
+// answer it with no access to the live — possibly growing — run. The
+// selection evaluations are counted into cs (nil = not counted).
+func StepVisibleAt(s *schema.Collaborative, st *Step, p schema.Peer, cs *cond.EvalCounts) bool {
 	if st.Event.Peer() == p {
 		return true
 	}
@@ -218,10 +211,10 @@ func eachViewChange(s *schema.Collaborative, st *Step, p schema.Peer, cs *cond.E
 			continue
 		}
 		var before, after data.Tuple
-		if ef.Before != nil && v.SeesCount(ef.Before, cs) {
+		if ef.Before != nil && v.Sees(ef.Before, cs) {
 			before = v.Project(ef.Before)
 		}
-		if ef.After != nil && v.SeesCount(ef.After, cs) {
+		if ef.After != nil && v.Sees(ef.After, cs) {
 			after = v.Project(ef.After)
 		}
 		if (before == nil) == (after == nil) && (before == nil || before.Equal(after)) {
@@ -279,7 +272,7 @@ func (r *Run) Append(e *Event) error {
 			return fmt.Errorf("program: event %s: fresh variables share value %s", e, v)
 		}
 	}
-	next, effects, err := ApplyCount(cur, e, r.Prog.Schema, r.prof.CondCounts())
+	next, effects, err := Apply(cur, e, r.Prog.Schema, r.prof.CondCounts())
 	if err != nil {
 		return err
 	}

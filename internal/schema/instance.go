@@ -253,7 +253,7 @@ type ViewInstance struct {
 	rels []*node
 	// cnt, when set, receives the condition-eval counts of the view
 	// selections materialized by this instance (per-run profilers); nil
-	// routes them to the process-global cond sink.
+	// leaves them uncounted.
 	cnt *cond.EvalCounts
 }
 
@@ -289,7 +289,7 @@ func (vi *ViewInstance) rel(i int) *node {
 	} else {
 		var ts []data.Tuple
 		src.each(func(t data.Tuple) bool {
-			if v.SeesCount(t, vi.cnt) {
+			if v.Sees(t, vi.cnt) {
 				ts = append(ts, v.Project(t))
 			}
 			return true
@@ -341,8 +341,8 @@ func (vi *ViewInstance) Derive(next *Instance, changes []ViewChange) *ViewInstan
 	return out
 }
 
-// CountConds routes the condition evaluations of selections materialized
-// by this view instance to cs instead of the process-global sink. It must
+// CountConds counts the condition evaluations of selections materialized
+// by this view instance into cs (without it they are not counted). It must
 // be set before the first access to any relation (materialization is
 // memoized) and returns the receiver for chaining.
 func (vi *ViewInstance) CountConds(cs *cond.EvalCounts) *ViewInstance {

@@ -162,6 +162,8 @@ type View struct {
 	// full caches Full: a view tuple is then the base tuple itself, so a
 	// view instance shares the instance's relation tree.
 	full bool
+	// relevant is att(R, p) = att(R@p) ∪ att(σ(R@p)).
+	relevant map[data.Attr]struct{}
 }
 
 // NewView builds the view of rel at peer with the given projected attributes
@@ -200,12 +202,15 @@ func NewView(rel *Relation, peer Peer, attrs []data.Attr, sel cond.Condition) (*
 		return pi < pj
 	})
 	v := &View{Rel: rel, Peer: peer, Attrs: ordered, Selection: sel,
-		pos: make(map[data.Attr]int, len(ordered)), srcIdx: make([]int, len(ordered))}
+		pos: make(map[data.Attr]int, len(ordered)), srcIdx: make([]int, len(ordered)),
+		relevant: make(map[data.Attr]struct{}, len(ordered))}
 	for i, a := range ordered {
 		v.pos[a] = i
 		src, _ := rel.Index(a)
 		v.srcIdx[i] = src
+		v.relevant[a] = struct{}{}
 	}
+	sel.Attrs(v.relevant)
 	v.full = len(ordered) == rel.Arity() && cond.Valid(sel)
 	return v, nil
 }
@@ -236,20 +241,10 @@ func (v *View) Has(a data.Attr) bool {
 // p-visible relation to see it fully).
 func (v *View) Full() bool { return v.full }
 
-// Sees evaluates the selection σ(R@p) on a full tuple over R.
-func (v *View) Sees(t data.Tuple) bool {
-	return v.Selection.Eval(v.Rel.pos, t)
-}
-
-// SeesCount is Sees with an explicit condition-eval count sink (nil =
-// global sink), so callers that own per-run profiler counters attribute
-// the selection's node visits to their run rather than to whichever
-// profiler installed the process-global sink last.
-func (v *View) SeesCount(t data.Tuple, cs *cond.EvalCounts) bool {
-	if cs == nil {
-		return v.Selection.Eval(v.Rel.pos, t)
-	}
-	return v.Selection.EvalCount(v.Rel.pos, t, cs)
+// Sees evaluates the selection σ(R@p) on a full tuple over R, counting
+// the selection's node visits into cs (nil = not counted).
+func (v *View) Sees(t data.Tuple, cs *cond.EvalCounts) bool {
+	return v.Selection.Eval(v.Rel.pos, t, cs)
 }
 
 // Project projects a full tuple over R onto the view attributes.
@@ -274,20 +269,12 @@ func (v *View) Pad(u data.Tuple) data.Tuple {
 	return out
 }
 
-// RelevantAttrs returns att(R, p) = att(R@p) ∪ att(σ(R@p)): the attributes
-// whose values determine whether and how p sees a tuple (Section 4).
-func (v *View) RelevantAttrs() []data.Attr {
-	set := make(map[data.Attr]struct{}, len(v.Attrs))
-	for _, a := range v.Attrs {
-		set[a] = struct{}{}
-	}
-	v.Selection.Attrs(set)
-	out := make([]data.Attr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// Relevant reports whether a is in att(R, p) = att(R@p) ∪ att(σ(R@p)): the
+// attributes whose values determine whether and how p sees a tuple
+// (Section 4).
+func (v *View) Relevant(a data.Attr) bool {
+	_, ok := v.relevant[a]
+	return ok
 }
 
 // String renders the view declaration.

@@ -72,10 +72,10 @@ func TestViewProjectPadSees(t *testing.T) {
 	r := MustRelation("R", "A", "B")
 	v := MustView(r, "p", []data.Attr{"B"}, cond.EqConst{Attr: "A", Const: "x"})
 	full := data.Tuple{"k", "x", "b"}
-	if !v.Sees(full) {
+	if !v.Sees(full, nil) {
 		t.Fatal("selection should hold")
 	}
-	if v.Sees(data.Tuple{"k", "y", "b"}) {
+	if v.Sees(data.Tuple{"k", "y", "b"}, nil) {
 		t.Fatal("selection should fail")
 	}
 	proj := v.Project(full)
@@ -98,14 +98,9 @@ func TestViewProjectPadSees(t *testing.T) {
 func TestViewRelevantAttrs(t *testing.T) {
 	r := MustRelation("R", "A", "B", "C")
 	v := MustView(r, "p", []data.Attr{"A"}, cond.EqConst{Attr: "C", Const: "1"})
-	got := v.RelevantAttrs()
-	want := []data.Attr{"A", "C", "K"}
-	if len(got) != len(want) {
-		t.Fatalf("RelevantAttrs=%v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RelevantAttrs=%v want %v", got, want)
+	for a, want := range map[data.Attr]bool{"K": true, "A": true, "B": false, "C": true} {
+		if got := v.Relevant(a); got != want {
+			t.Errorf("Relevant(%s)=%v want %v", a, got, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"collabwf/internal/data"
 	"collabwf/internal/design"
 	"collabwf/internal/obs"
+	"collabwf/internal/parse"
 	"collabwf/internal/prof"
 	"collabwf/internal/program"
 	"collabwf/internal/schema"
@@ -273,13 +275,14 @@ func driveProfiledSession(t *testing.T, c *Coordinator, profiler *prof.Profiler)
 }
 
 // TestProfilerPerRunAttribution is the two-coordinator acceptance test for
-// the cond-counter bugfix: two coordinators in one process, each with its
-// own profiler, run the same scripted session; each profiler's counters —
-// the condition-evaluation tallies included, which used to flow through one
-// process-global sink — must equal the single-coordinator baseline exactly.
-// Any cross-talk doubles (or splits) a counter and fails the comparison.
+// per-run condition counting: two coordinators in one process, each with
+// its own profiler, run the same scripted session while a third, unprofiled
+// coordinator certifies between them; each profiler's counters — the
+// condition-evaluation tallies included — must equal the single-coordinator
+// baseline exactly. Any cross-talk doubles (or inflates) a counter and fails
+// the comparison.
 func TestProfilerPerRunAttribution(t *testing.T) {
-	newGuarded := func() (*Coordinator, *prof.Profiler, func()) {
+	newGuarded := func() (*Coordinator, *prof.Profiler) {
 		staged, err := design.Staged(workload.Hiring(), "sue")
 		if err != nil {
 			t.Fatal(err)
@@ -287,30 +290,39 @@ func TestProfilerPerRunAttribution(t *testing.T) {
 		c := New("Staged", staged)
 		p := prof.New()
 		c.SetProfiler(p)
-		restore := p.InstallCond()
 		if err := c.Guard("sue", 2); err != nil {
 			t.Fatal(err)
 		}
-		return c, p, restore
+		return c, p
 	}
 
 	// Baseline: one coordinator, alone in the process.
-	cb, pb, restoreB := newGuarded()
+	cb, pb := newGuarded()
 	driveProfiledSession(t, cb, pb)
-	restoreB()
 	base := pb.Snapshot()
 	if base.Cond.Total == 0 {
 		t.Fatal("baseline session evaluated no conditions — the attribution test would be vacuous")
 	}
 
-	// Fleet: two coordinators, two profilers, both sessions interleaved.
-	// Only the first InstallCond owns the process-global sink; attribution
-	// flows through each run's own counter threading regardless.
-	c1, p1, restore1 := newGuarded()
-	c2, p2, restore2 := newGuarded()
-	defer restore1()
-	defer restore2()
+	// Fleet: two profiled coordinators and an unprofiled one. The review
+	// certification evaluates view selections (staged hiring's does not),
+	// and none of them may land in either profiler.
+	src, err := os.ReadFile("../../examples/specs/review.wf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := parse.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	review := New(spec.Name, spec.Program)
+	c1, p1 := newGuarded()
+	c2, p2 := newGuarded()
 	driveProfiledSession(t, c1, p1)
+	if err := review.Certify(context.Background(), "reader", 1, core.Options{}); err == nil ||
+		!strings.Contains(err.Error(), "not 1-bounded") {
+		t.Fatalf("certify reader on review = %v, want a 1-boundedness violation", err)
+	}
 	driveProfiledSession(t, c2, p2)
 	s1, s2 := p1.Snapshot(), p2.Snapshot()
 

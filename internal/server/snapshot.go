@@ -54,8 +54,8 @@ type snapshot struct {
 	seq  uint64
 	born int64
 	// cnt is the owning coordinator's condition-eval counter block (nil when
-	// unprofiled): visibility checks on the snapshot attribute their
-	// selection evaluations to that run, not to the process-global sink.
+	// unprofiled): visibility checks on the snapshot count their selection
+	// evaluations into that run's profiler and no other.
 	cnt *cond.EvalCounts
 }
 
@@ -67,7 +67,7 @@ func (s *snapshot) Event(i int) *program.Event     { return s.steps[i].Event }
 func (s *snapshot) Effects(i int) []program.Effect { return s.steps[i].Effects }
 
 func (s *snapshot) VisibleAt(i int, p schema.Peer) bool {
-	return program.StepVisibleAtCount(s.prog.Schema, &s.steps[i], p, s.cnt)
+	return program.StepVisibleAt(s.prog.Schema, &s.steps[i], p, s.cnt)
 }
 
 // instanceAt returns I_i of the captured prefix; -1 is the initial instance.

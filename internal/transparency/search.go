@@ -370,7 +370,7 @@ func (s *searcher) visibleEventsOn(in *schema.Instance) ([]*program.Event, error
 				if err != nil {
 					continue
 				}
-				after, _, err := program.Apply(in, e, s.prog.Schema)
+				after, _, err := program.Apply(in, e, s.prog.Schema, s.profFresh.CondCounts())
 				if err != nil {
 					continue
 				}
@@ -410,7 +410,7 @@ func (s *searcher) freshInstances(ctx context.Context) ([]*schema.Instance, erro
 			return nil, err
 		}
 		for _, e := range events {
-			after, _, err := program.Apply(in, e, s.prog.Schema)
+			after, _, err := program.Apply(in, e, s.prog.Schema, s.profFresh.CondCounts())
 			if err != nil {
 				continue
 			}
