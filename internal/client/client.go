@@ -19,16 +19,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"collabwf/internal/retry"
 )
 
 // SubmitResult mirrors the server's /submit response.
@@ -40,23 +39,7 @@ type SubmitResult struct {
 
 // APIError is a non-2xx response from the server, with the decoded error
 // body and the Retry-After hint (seconds, 0 if absent).
-type APIError struct {
-	Status     int
-	Msg        string
-	RetryAfter int
-}
-
-func (e *APIError) Error() string {
-	return fmt.Sprintf("server returned %d: %s", e.Status, e.Msg)
-}
-
-// Temporary reports whether the failure is worth retrying: overload (429),
-// unavailability (503, the server's retry-safe submission failures) and
-// other 5xx. A retried /submit is safe either way — the idempotency key
-// dedupes a request whose first attempt actually landed.
-func (e *APIError) Temporary() bool {
-	return e.Status == http.StatusTooManyRequests || e.Status >= 500
-}
+type APIError = retry.APIError
 
 // Options tunes the client.
 type Options struct {
@@ -83,7 +66,8 @@ type Options struct {
 
 // Client is a resilient coordinator API client. Safe for concurrent use.
 // The mutable state lives behind pointers so ForRun can derive run-scoped
-// clients that share one transport, key sequence and retry counter.
+// clients that share one transport, key sequence, backoff policy and retry
+// counter.
 type Client struct {
 	base string
 	http *http.Client
@@ -93,9 +77,7 @@ type Client struct {
 	keyPrefix string
 	keySeq    *atomic.Int64
 
-	// mu guards rnd (rand.Rand is not goroutine-safe).
-	mu  *sync.Mutex
-	rnd *rand.Rand
+	backoff *retry.Backoff
 
 	// retries counts retried attempts, for reporting.
 	retries *atomic.Int64
@@ -133,8 +115,7 @@ func New(baseURL string, opts Options) *Client {
 		opts:      opts,
 		keyPrefix: fmt.Sprintf("%08x", rnd.Uint32()),
 		keySeq:    new(atomic.Int64),
-		mu:        new(sync.Mutex),
-		rnd:       rnd,
+		backoff:   retry.NewBackoff(opts.MaxRetries, opts.BaseBackoff, opts.MaxBackoff, rnd),
 		retries:   new(atomic.Int64),
 	}
 }
@@ -288,50 +269,20 @@ func (c *Client) Ready(ctx context.Context) error {
 
 // do runs one API call under the retry policy.
 func (c *Client) do(ctx context.Context, method, path string, body []byte, idemKey string, out any) error {
-	backoff := c.opts.BaseBackoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err := c.attempt(ctx, method, path, body, idemKey, out)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		var ae *APIError
-		if errors.As(err, &ae) && !ae.Temporary() {
-			return err
-		}
-		lastErr = err
-		if attempt >= c.opts.MaxRetries {
-			break
-		}
-		sleep := c.jitter(backoff)
-		if ae != nil && ae.RetryAfter > 0 {
-			if ra := time.Duration(ae.RetryAfter) * time.Second; ra > sleep {
-				sleep = ra
-			}
-		}
-		if sleep > c.opts.MaxBackoff {
-			sleep = c.opts.MaxBackoff
-		}
+	gaveUp, err := c.backoff.Do(ctx, func() error {
+		return c.attempt(ctx, method, path, body, idemKey, out)
+	}, func(attempt int, sleep time.Duration, err error) {
 		if l := c.opts.Logger; l != nil {
-			l.Debug("retrying", slog.String("path", path), slog.Int("attempt", attempt+1),
+			l.Debug("retrying", slog.String("path", path), slog.Int("attempt", attempt),
 				slog.Duration("sleep", sleep), slog.Any("error", err))
 		}
 		c.retries.Add(1)
-		select {
-		case <-time.After(sleep):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		backoff *= 2
-		if backoff > c.opts.MaxBackoff {
-			backoff = c.opts.MaxBackoff
-		}
+	})
+	if gaveUp {
+		return fmt.Errorf("client: %s %s: giving up after %d attempts: %w",
+			method, path, c.opts.MaxRetries+1, err)
 	}
-	return fmt.Errorf("client: %s %s: giving up after %d attempts: %w",
-		method, path, c.opts.MaxRetries+1, lastErr)
+	return err
 }
 
 // attempt runs one HTTP round trip under the per-attempt deadline.
@@ -362,17 +313,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		ae := &APIError{Status: resp.StatusCode}
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			ae.RetryAfter = ra
-		}
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if derr := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb); derr == nil {
-			ae.Msg = eb.Error
-		}
+	if ae := retry.ResponseError(resp); ae != nil {
 		return ae
 	}
 	if out != nil {
@@ -381,15 +322,4 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 		}
 	}
 	return nil
-}
-
-// jitter draws a full-jitter delay in [d/2, d].
-func (c *Client) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	half := d / 2
-	return half + time.Duration(c.rnd.Int63n(int64(half)+1))
 }

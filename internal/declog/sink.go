@@ -5,18 +5,17 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"math/rand"
 	"net/http"
 	"os"
-	"strconv"
 	"sync"
 	"time"
 
 	"collabwf/internal/obs"
+	"collabwf/internal/retry"
 )
 
 // Sink receives exported decision batches. Export may block and retry
@@ -197,19 +196,17 @@ type HTTPOptions struct {
 }
 
 // HTTPSink POSTs each batch as gzipped JSON Lines
-// (Content-Type application/x-ndjson, Content-Encoding gzip) with the same
-// retry discipline as internal/client: capped exponential backoff with full
-// jitter, Retry-After honored, definite 4xx failures never retried. A batch
-// that exhausts its retries is reported lost to the logger — the sink keeps
-// no queue of its own.
+// (Content-Type application/x-ndjson, Content-Encoding gzip) under the retry
+// loop it shares with internal/client (retry.Backoff): capped exponential
+// backoff with full jitter, Retry-After honored, definite 4xx failures never
+// retried. A batch that exhausts its retries is reported lost to the logger
+// — the sink keeps no queue of its own.
 type HTTPSink struct {
-	url  string
-	http *http.Client
-	opts HTTPOptions
-	log  *slog.Logger
-
-	mu  sync.Mutex
-	rnd *rand.Rand
+	url     string
+	http    *http.Client
+	opts    HTTPOptions
+	log     *slog.Logger
+	backoff *retry.Backoff
 }
 
 // NewHTTPSink returns a sink uploading to url.
@@ -237,23 +234,12 @@ func NewHTTPSink(url string, opts HTTPOptions) *HTTPSink {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	s := &HTTPSink{url: url, http: hc, opts: opts, rnd: rnd, log: obs.Discard()}
+	s := &HTTPSink{url: url, http: hc, opts: opts, log: obs.Discard(),
+		backoff: retry.NewBackoff(opts.MaxRetries, opts.BaseBackoff, opts.MaxBackoff, rnd)}
 	if opts.Logger != nil {
 		s.log = opts.Logger
 	}
 	return s
-}
-
-// statusError is a non-2xx upload response.
-type statusError struct {
-	status     int
-	retryAfter int
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("declog: upload returned %d", e.status) }
-
-func (e *statusError) temporary() bool {
-	return e.status == http.StatusTooManyRequests || e.status >= 500
 }
 
 func (s *HTTPSink) Export(ctx context.Context, batch []Decision) error {
@@ -270,46 +256,16 @@ func (s *HTTPSink) Export(ctx context.Context, batch []Decision) error {
 			body, encoding = zbuf.Bytes(), "gzip"
 		}
 	}
-	backoff := s.opts.BaseBackoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		err := s.attempt(ctx, body, encoding)
-		if err == nil {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		var se *statusError
-		if errors.As(err, &se) && !se.temporary() {
-			return err
-		}
-		lastErr = err
-		if attempt >= s.opts.MaxRetries {
-			break
-		}
-		sleep := s.jitter(backoff)
-		if se != nil && se.retryAfter > 0 {
-			if ra := time.Duration(se.retryAfter) * time.Second; ra > sleep {
-				sleep = ra
-			}
-		}
-		if sleep > s.opts.MaxBackoff {
-			sleep = s.opts.MaxBackoff
-		}
-		s.log.Debug("retrying decision-log upload", slog.Int("attempt", attempt+1),
+	gaveUp, err := s.backoff.Do(ctx, func() error {
+		return s.attempt(ctx, body, encoding)
+	}, func(attempt int, sleep time.Duration, err error) {
+		s.log.Debug("retrying decision-log upload", slog.Int("attempt", attempt),
 			slog.Duration("sleep", sleep), slog.Any("error", err))
-		select {
-		case <-time.After(sleep):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		backoff *= 2
-		if backoff > s.opts.MaxBackoff {
-			backoff = s.opts.MaxBackoff
-		}
+	})
+	if gaveUp {
+		return fmt.Errorf("declog: giving up on batch after %d attempts: %w", s.opts.MaxRetries+1, err)
 	}
-	return fmt.Errorf("declog: giving up on batch after %d attempts: %w", s.opts.MaxRetries+1, lastErr)
+	return err
 }
 
 func (s *HTTPSink) attempt(ctx context.Context, body []byte, encoding string) error {
@@ -331,25 +287,10 @@ func (s *HTTPSink) attempt(ctx context.Context, body []byte, encoding string) er
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		se := &statusError{status: resp.StatusCode}
-		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			se.retryAfter = ra
-		}
-		return se
+	if ae := retry.ResponseError(resp); ae != nil {
+		return fmt.Errorf("declog: uploading batch: %w", ae)
 	}
 	return nil
-}
-
-// jitter draws a full-jitter delay in [d/2, d].
-func (s *HTTPSink) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	half := d / 2
-	return half + time.Duration(s.rnd.Int63n(int64(half)+1))
 }
 
 func (s *HTTPSink) Describe() string { return s.url }

@@ -112,15 +112,9 @@ type Coordinator struct {
 	// prefix is immutable, so an entry never goes stale (rollback only ever
 	// targets unreleased events). See snapView.
 	viewStrs sync.Map
-	// lockedReads forces reads back onto the mutex path (E17 baseline and
-	// the -locked-reads escape hatch).
-	lockedReads atomic.Bool
-	// mread mirrors metrics for the lock-free read paths, which must not
-	// touch mu to read the field Instrument sets under it.
-	mread atomic.Pointer[Metrics]
 	// dlog is the attached decision-log pipeline (nil when none); see
-	// declog.go. Atomic for the same reason as mread: certify/explain emit
-	// without the coordinator lock.
+	// declog.go. Atomic because certify/explain emit without the coordinator
+	// lock.
 	dlog atomic.Pointer[declog.Logger]
 
 	subs   map[schema.Peer]map[int]chan Notification
@@ -460,15 +454,7 @@ func (c *Coordinator) submitCtx(ctx context.Context, peer schema.Peer, ruleName 
 	idx := c.run.Len() - 1
 	// Precompute the result while the event is fresh; per-step effects are
 	// immutable, so this stays valid across the off-lock commit wait.
-	res := &SubmitResult{Index: idx}
-	for _, u := range e.Updates {
-		res.Updates = append(res.Updates, u.String())
-	}
-	for _, q := range c.prog.Peers() {
-		if c.run.VisibleAt(idx, q) {
-			res.VisibleAt = append(res.VisibleAt, string(q))
-		}
-	}
+	res := c.submitResultLocked(idx)
 	if c.log == nil {
 		c.acceptLocked(ctx, sp, peer, ruleName, idx, idemKey)
 		return res, nil
@@ -582,9 +568,9 @@ func (c *Coordinator) releaseLocked(ctx context.Context, idx int) {
 	}
 	start := c.observable
 	c.observable = idx + 1
-	c.publishSnapshotLocked()
+	s := c.publishSnapshotLocked()
 	for i := start; i <= idx; i++ {
-		c.notify(ctx, i)
+		c.notify(ctx, s, i)
 	}
 }
 
@@ -740,9 +726,32 @@ func (c *Coordinator) explainer(peer schema.Peer) *core.Explainer {
 	return ex
 }
 
+// submitResultLocked describes the event at idx as a SubmitResult. The live
+// submission and a recovered idempotency entry both build their answer here,
+// so a post-crash replay returns exactly what the original submission did.
+// An index outside the run yields the bare index. Callers hold the lock.
+func (c *Coordinator) submitResultLocked(idx int) *SubmitResult {
+	res := &SubmitResult{Index: idx}
+	if idx < 0 || idx >= c.run.Len() {
+		return res
+	}
+	for _, u := range c.run.Event(idx).Updates {
+		res.Updates = append(res.Updates, u.String())
+	}
+	for _, q := range c.prog.Peers() {
+		if c.run.VisibleAt(idx, q) {
+			res.VisibleAt = append(res.VisibleAt, string(q))
+		}
+	}
+	return res
+}
+
 // notify pushes the transition at index idx to every subscriber that sees
-// it. Slow subscribers lose notifications rather than blocking the run.
-func (c *Coordinator) notify(ctx context.Context, idx int) {
+// it, building each notification from s, the snapshot releaseLocked has just
+// published — the same builder, and the same view-string cache, that serve
+// /transitions. Slow subscribers lose notifications rather than blocking the
+// run.
+func (c *Coordinator) notify(ctx context.Context, s *snapshot, idx int) {
 	_, sp := obs.StartSpan(ctx, "coordinator.notify")
 	defer sp.End()
 	sent, droppedNow := 0, 0
@@ -750,7 +759,7 @@ func (c *Coordinator) notify(ctx context.Context, idx int) {
 		if len(chans) == 0 || !c.run.VisibleAt(idx, peer) {
 			continue
 		}
-		n := c.buildNotification(peer, idx)
+		n := c.snapNotification(s, peer, idx)
 		for _, ch := range chans {
 			select {
 			case ch <- n:
@@ -772,9 +781,7 @@ func (c *Coordinator) notify(ctx context.Context, idx int) {
 	sp.SetAttr("dropped", droppedNow)
 }
 
-// makeNotification assembles a Notification from its parts. The locked
-// (buildNotification) and lock-free (snapNotification) builders both route
-// through it so the two paths stay byte-identical.
+// makeNotification assembles a Notification from its parts.
 func makeNotification(e *program.Event, peer schema.Peer, idx int, view string, because []int) Notification {
 	n := Notification{
 		Index: idx,
@@ -791,11 +798,6 @@ func makeNotification(e *program.Event, peer schema.Peer, idx int, view string, 
 	}
 	sort.Ints(n.Because)
 	return n
-}
-
-func (c *Coordinator) buildNotification(peer schema.Peer, idx int) Notification {
-	return makeNotification(c.run.Event(idx), peer, idx,
-		c.run.ViewAt(idx, peer).String(), c.explainer(peer).ExplainEvent(idx))
 }
 
 // Subscribe registers a notification channel for the peer's visible
@@ -863,23 +865,14 @@ func unknownPeerErr(peer schema.Peer) error {
 
 // View renders the peer's current view of the database — of the released
 // prefix; buffered events not yet durable are invisible. On an empty run
-// (ViewAt index −1) this is the peer's view of the initial instance.
-// Lock-free: served from the published snapshot.
+// (index −1) this is the peer's view of the initial instance. Lock-free:
+// served from the published snapshot.
 func (c *Coordinator) View(peer schema.Peer) (string, error) {
-	if s := c.readSnapshot(); s != nil {
-		if !s.prog.Schema.HasPeer(peer) {
-			return "", unknownPeerErr(peer)
-		}
-		c.readMetrics().readPath(true)
-		return c.snapView(s, s.Len()-1, peer), nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
 		return "", unknownPeerErr(peer)
 	}
-	c.readMetrics().readPath(false)
-	return c.run.ViewAt(c.observable-1, peer).String(), nil
+	return c.snapView(s, s.Len()-1, peer), nil
 }
 
 // Explain returns the peer's runtime explanation report of the run so far.
@@ -896,20 +889,11 @@ func (c *Coordinator) Explain(peer schema.Peer) (*core.Report, error) {
 // assembled over — the decision log records it so an audit can recompute the
 // same report against the same prefix.
 func (c *Coordinator) explainWithLen(peer schema.Peer) (*core.Report, int, error) {
-	if s := c.readSnapshot(); s != nil {
-		if !s.prog.Schema.HasPeer(peer) {
-			return nil, 0, unknownPeerErr(peer)
-		}
-		c.readMetrics().readPath(true)
-		return s.exp[peer].ReportOver(s, s.vis[peer]), s.Len(), nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
 		return nil, 0, unknownPeerErr(peer)
 	}
-	c.readMetrics().readPath(false)
-	return c.explainer(peer).Report(), c.observable, nil
+	return s.exp[peer].ReportOver(s, s.vis[peer]), s.Len(), nil
 }
 
 // ExplainCtx is Explain with decision logging: each request emits one record
@@ -934,22 +918,13 @@ func (c *Coordinator) ExplainCtx(ctx context.Context, peer schema.Peer) (*core.R
 	return rep, err
 }
 
-// Scenario returns the peer's minimal faithful scenario indices.
+// Scenario returns the peer's minimal faithful scenario indices. Lock-free.
 func (c *Coordinator) Scenario(peer schema.Peer) ([]int, error) {
-	if s := c.readSnapshot(); s != nil {
-		if !s.prog.Schema.HasPeer(peer) {
-			return nil, unknownPeerErr(peer)
-		}
-		c.readMetrics().readPath(true)
-		return s.exp[peer].MinimalScenario(), nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
 		return nil, unknownPeerErr(peer)
 	}
-	c.readMetrics().readPath(false)
-	return c.explainer(peer).MinimalScenario(), nil
+	return s.exp[peer].MinimalScenario(), nil
 }
 
 // visIndex caches one peer's visible-event indices over the released
@@ -986,38 +961,15 @@ func (c *Coordinator) Transitions(peer schema.Peer, from int) ([]Notification, e
 	return out, err
 }
 
-// transitionsLocked is the mutex-path Transitions body. Callers hold the
-// lock.
-func (c *Coordinator) transitionsLocked(peer schema.Peer, from int) []Notification {
-	idxs := c.visibleLocked(peer)
-	var out []Notification
-	for _, idx := range idxs[sort.SearchInts(idxs, from):] {
-		out = append(out, c.buildNotification(peer, idx))
-	}
-	return out
-}
-
 // Trace exports the released run prefix as a replayable trace (operator
 // access). Lock-free: built from the snapshot's captured event prefix.
 func (c *Coordinator) Trace() *trace.Trace {
-	if s := c.readSnapshot(); s != nil {
-		c.readMetrics().readPath(true)
-		return s.trace()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.readMetrics().readPath(false)
-	return trace.FromRunPrefix(c.name, c.run, c.observable)
+	return c.snap.Load().trace()
 }
 
 // Len returns the number of events accepted and released so far. Lock-free.
 func (c *Coordinator) Len() int {
-	if s := c.readSnapshot(); s != nil {
-		return s.Len()
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.observable
+	return c.snap.Load().Len()
 }
 
 // Dropped reports notifications lost to slow subscribers.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"collabwf/internal/core"
 	"collabwf/internal/obs"
 	"collabwf/internal/schema"
 	"collabwf/internal/wal"
@@ -133,14 +134,18 @@ func TestTransitionsIncrementalMatchesRescan(t *testing.T) {
 	c := New("Hiring", prog)
 
 	// bruteForce recomputes the peer's visible transitions from scratch,
-	// ignoring the cache — the pre-optimization semantics.
+	// ignoring the visible-index cache, the snapshot and the view-string
+	// cache: a rescan of the run with views from the run itself and
+	// explanations from a fresh explainer over the released prefix.
 	bruteForce := func(peer schema.Peer, from int) []Notification {
 		c.mu.Lock()
 		defer c.mu.Unlock()
+		ex := core.NewExplainerAt(c.run, peer, c.observable)
 		var out []Notification
 		for idx := 0; idx < c.observable; idx++ {
 			if idx >= from && c.run.VisibleAt(idx, peer) {
-				out = append(out, c.buildNotification(peer, idx))
+				out = append(out, makeNotification(c.run.Event(idx), peer, idx,
+					c.run.ViewAt(idx, peer).String(), ex.ExplainEvent(idx)))
 			}
 		}
 		return out

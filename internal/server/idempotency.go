@@ -145,19 +145,7 @@ func (c *Coordinator) addIdemLocked(key string, index int) {
 	}
 	done := make(chan struct{})
 	close(done)
-	res := &SubmitResult{Index: index}
-	if index >= 0 && index < c.run.Len() {
-		e := c.run.Event(index)
-		for _, u := range e.Updates {
-			res.Updates = append(res.Updates, u.String())
-		}
-		for _, q := range c.prog.Peers() {
-			if c.run.VisibleAt(index, q) {
-				res.VisibleAt = append(res.VisibleAt, string(q))
-			}
-		}
-	}
-	c.idem[sk] = &idemEntry{done: done, res: res, key: key}
+	c.idem[sk] = &idemEntry{done: done, res: c.submitResultLocked(index), key: key}
 	c.idemOrder = append(c.idemOrder, sk)
 	c.evictIdemLocked()
 }

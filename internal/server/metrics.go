@@ -49,11 +49,9 @@ type Metrics struct {
 	recoverySecs   *obs.Gauge
 	recoveredEvs   *obs.Gauge
 
-	// Read path: lock-free vs mutex-fallback serving and snapshot churn.
-	readLockfree *obs.Counter
-	readLocked   *obs.Counter
-	snapSwaps    *obs.Counter
-	snapAge      *obs.Gauge
+	// Read path: snapshot churn.
+	snapSwaps *obs.Counter
+	snapAge   *obs.Gauge
 
 	// Decider search (Certify): the transparency.Stats counters surfaced
 	// as registry families.
@@ -138,10 +136,6 @@ func newMetrics(reg *obs.Registry, run string) *Metrics {
 		recoveredEvs: gauge("wf_coordinator_recovered_events",
 			"Events reconstructed by the last recovery."),
 
-		readLockfree: counter("wf_read_lockfree_total",
-			"Reads (view, explain, scenario, transitions, trace) served from the published snapshot without the coordinator lock."),
-		readLocked: counter("wf_read_locked_total",
-			"Reads served on the coordinator-mutex fallback path (-locked-reads or baseline benchmarking)."),
 		snapSwaps: counter("wf_snapshot_swaps_total",
 			"Read-snapshot publications (one per release batch, plus construction and recovery)."),
 		snapAge: gauge("wf_snapshot_age_seconds",
@@ -213,30 +207,11 @@ func (m *Metrics) rolledBack() {
 	}
 }
 
-// readPath attributes one read to the lock-free or mutex path. Nil-safe.
-func (m *Metrics) readPath(lockfree bool) {
-	if m == nil {
-		return
-	}
-	if lockfree {
-		m.readLockfree.Inc()
-	} else {
-		m.readLocked.Inc()
-	}
-}
-
 // snapshotSwapped records one read-snapshot publication. Nil-safe.
 func (m *Metrics) snapshotSwapped() {
 	if m != nil {
 		m.snapSwaps.Inc()
 	}
-}
-
-// readMetrics returns the metrics handle for lock-free read paths, which
-// must not take the coordinator lock to reach the field Instrument sets
-// under it. Nil until Instrument runs; every consumer is nil-safe.
-func (c *Coordinator) readMetrics() *Metrics {
-	return c.mread.Load()
 }
 
 // foldSearch folds a decider search-effort delta into the registry.
@@ -302,7 +277,6 @@ func (c *Coordinator) instrument(m *Metrics) *Metrics {
 	defer c.mu.Unlock()
 	c.unhook = unhook
 	c.metrics = m
-	c.mread.Store(m)
 	m.runEvents.Set(float64(c.observable))
 	total := 0
 	for _, chans := range c.subs {

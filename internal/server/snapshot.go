@@ -87,12 +87,13 @@ func (s *snapshot) events() []*program.Event {
 	return out
 }
 
-// publishSnapshotLocked captures the released prefix and swaps it in for
-// lock-free readers. Callers hold the lock (or are constructing the
-// coordinator). Publication advances the per-peer explainers to the
-// released prefix first — this is where the incremental explanation work
-// happens, O(new events) per release, so no read ever pays it.
-func (c *Coordinator) publishSnapshotLocked() {
+// publishSnapshotLocked captures the released prefix, swaps it in for
+// lock-free readers and returns it. Callers hold the lock (or are
+// constructing the coordinator). Publication advances the per-peer
+// explainers to the released prefix first — this is where the incremental
+// explanation work happens, O(new events) per release, so no read ever pays
+// it.
+func (c *Coordinator) publishSnapshotLocked() *snapshot {
 	peers := c.prog.Peers()
 	vis := make(map[schema.Peer][]int, len(peers))
 	exp := make(map[schema.Peer]*core.FrozenExplainer, len(peers))
@@ -116,24 +117,8 @@ func (c *Coordinator) publishSnapshotLocked() {
 	c.snap.Store(s)
 	c.evictViewStrsLocked()
 	c.metrics.snapshotSwapped()
+	return s
 }
-
-// readSnapshot returns the current snapshot for a lock-free read, or nil
-// when lock-free reads are disabled (the -locked-reads escape hatch and the
-// E17 baseline) and the caller must fall back to the mutex path.
-func (c *Coordinator) readSnapshot() *snapshot {
-	if c.lockedReads.Load() {
-		return nil
-	}
-	return c.snap.Load()
-}
-
-// SetLockedReads forces every read back onto the coordinator mutex (true)
-// or restores lock-free snapshot serving (false, the default). Exists for
-// the E17 baseline and as an operational escape hatch (-locked-reads);
-// the wf_read_locked_total / wf_read_lockfree_total counters attribute
-// reads to the two paths.
-func (c *Coordinator) SetLockedReads(v bool) { c.lockedReads.Store(v) }
 
 // SnapshotInfo reports the published snapshot's sequence number, age, and
 // event count, for /statusz and the snapshot-age gauge.
@@ -194,8 +179,8 @@ func (c *Coordinator) evictViewStrsLocked() {
 }
 
 // snapNotification builds the peer's notification for event idx from the
-// snapshot alone — the lock-free twin of buildNotification, kept
-// byte-identical through the shared makeNotification assembly.
+// snapshot alone. It is the only notification builder: /transitions polls
+// and subscriber pushes (notify) both go through it.
 func (c *Coordinator) snapNotification(s *snapshot, peer schema.Peer, idx int) Notification {
 	return makeNotification(s.Event(idx), peer, idx, c.snapView(s, idx, peer), s.exp[peer].ExplainEvent(idx))
 }
@@ -204,28 +189,19 @@ func (c *Coordinator) snapNotification(s *snapshot, peer schema.Peer, idx int) N
 // snapshot, so pollers get a mutually consistent (transitions, len) pair;
 // /transitions serves this.
 func (c *Coordinator) TransitionsAndLen(peer schema.Peer, from int) ([]Notification, int, error) {
-	if s := c.readSnapshot(); s != nil {
-		if !s.prog.Schema.HasPeer(peer) {
-			return nil, 0, unknownPeerErr(peer)
-		}
-		c.readMetrics().readPath(true)
-		idxs := s.vis[peer]
-		var out []Notification
-		for _, idx := range idxs[sort.SearchInts(idxs, from):] {
-			out = append(out, c.snapNotification(s, peer, idx))
-		}
-		return out, s.Len(), nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.prog.Schema.HasPeer(peer) {
+	s := c.snap.Load()
+	if !s.prog.Schema.HasPeer(peer) {
 		return nil, 0, unknownPeerErr(peer)
 	}
-	c.readMetrics().readPath(false)
-	return c.transitionsLocked(peer, from), c.observable, nil
+	idxs := s.vis[peer]
+	var out []Notification
+	for _, idx := range idxs[sort.SearchInts(idxs, from):] {
+		out = append(out, c.snapNotification(s, peer, idx))
+	}
+	return out, s.Len(), nil
 }
 
-// snapTrace exports the snapshot's prefix as a replayable trace.
+// trace exports the snapshot's prefix as a replayable trace.
 func (s *snapshot) trace() *trace.Trace {
 	return trace.FromEvents(s.name, s.initial, s.events())
 }

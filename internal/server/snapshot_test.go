@@ -2,10 +2,13 @@ package server
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"collabwf/internal/core"
 	"collabwf/internal/obs"
+	"collabwf/internal/schema"
 	"collabwf/internal/wal"
 	"collabwf/internal/workload"
 )
@@ -56,11 +59,13 @@ func TestReadsLockFreeWhileMutexHeld(t *testing.T) {
 	}
 }
 
-// TestLockFreeMatchesLockedReads pins snapshot serving to the mutex-path
-// semantics: for every peer and every read operation, the lock-free answer
-// must be deeply equal to the locked baseline (-locked-reads) on the same
-// state.
-func TestLockFreeMatchesLockedReads(t *testing.T) {
+// TestReadsMatchReplay is the differential test of the read path: on a
+// third of the prefixes (the last included), every peer's View, Explain,
+// Scenario and TransitionsAndLen must equal the answers recomputed from
+// scratch over a fresh replay of the served trace — views by schema.ViewOf
+// over the replayed instances, explanations by a new explainer over the
+// replayed run.
+func TestReadsMatchReplay(t *testing.T) {
 	prog := workload.Hiring()
 	c := New("Hiring", prog)
 	subs := randomWorkload(t, prog, 11, 12)
@@ -68,55 +73,151 @@ func TestLockFreeMatchesLockedReads(t *testing.T) {
 		if _, err := c.Submit(s.peer, s.rule, s.bindings); err != nil {
 			t.Fatal(err)
 		}
-		if i%3 != 0 {
-			continue // compare on a third of the prefixes, including the last
+		if i%3 == 0 || i == len(subs)-1 {
+			compareWithReplay(t, c)
 		}
-		compareReadPaths(t, c)
 	}
-	compareReadPaths(t, c)
 }
 
-func compareReadPaths(t *testing.T, c *Coordinator) {
+func compareWithReplay(t *testing.T, c *Coordinator) {
 	t.Helper()
-	type answers struct {
-		view     string
-		report   string
-		scenario []int
-		trans    []Notification
-		n        int
-		trace    string
+	replay, err := c.Trace().Replay(c.prog)
+	if err != nil {
+		t.Fatal(err)
 	}
-	collect := func() map[string]answers {
-		out := make(map[string]answers)
-		for _, peer := range c.prog.Peers() {
-			v, err := c.View(peer)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := c.Explain(peer)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := c.Scenario(peer)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts, n, err := c.TransitionsAndLen(peer, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[string(peer)] = answers{view: v, report: rep.String(), scenario: sc, trans: ts, n: n,
-				trace: c.Trace().Workflow}
+	n := replay.Len()
+	for _, peer := range c.prog.Peers() {
+		ex := core.NewExplainer(replay, peer)
+		view := func(i int) string {
+			return schema.ViewOf(replay.InstanceAt(i), c.prog.Schema, peer).String()
 		}
-		return out
+
+		if got, err := c.View(peer); err != nil || got != view(n-1) {
+			t.Fatalf("%s at %d: View = %q, %v; replay %q", peer, n, got, err, view(n-1))
+		}
+		rep, err := c.Explain(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rep.String(), ex.Report().String(); got != want {
+			t.Fatalf("%s at %d: Explain =\n%s\nreplay:\n%s", peer, n, got, want)
+		}
+		sc, err := c.Scenario(peer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := ex.MinimalScenario(); !reflect.DeepEqual(sc, want) {
+			t.Fatalf("%s at %d: Scenario = %v, replay %v", peer, n, sc, want)
+		}
+
+		var want []Notification
+		for idx := 0; idx < n; idx++ {
+			if !replay.VisibleAt(idx, peer) {
+				continue
+			}
+			e := replay.Event(idx)
+			nt := Notification{Index: idx, Omega: e.Peer() != peer, View: view(idx)}
+			if !nt.Omega {
+				nt.Rule = e.Rule.Name
+			}
+			for _, j := range ex.ExplainEvent(idx) {
+				if j != idx {
+					nt.Because = append(nt.Because, j)
+				}
+			}
+			want = append(want, nt)
+		}
+		got, gotLen, err := c.TransitionsAndLen(peer, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotLen != n || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s at %d: TransitionsAndLen = (%+v, %d)\nreplay (%+v, %d)", peer, n, got, gotLen, want, n)
+		}
 	}
-	lockfree := collect()
-	c.SetLockedReads(true)
-	locked := collect()
-	c.SetLockedReads(false)
-	if !reflect.DeepEqual(lockfree, locked) {
-		t.Fatalf("lock-free and locked reads diverge:\n lock-free: %+v\n locked: %+v", lockfree, locked)
+}
+
+// TestNotificationsMatchPolls pins the push and poll paths to one answer:
+// every notification a subscriber receives is deeply equal to the
+// TransitionsAndLen entry for the same index. The durable run releases
+// concurrent submitters' events in group-commit batches, so one release
+// notifies several indices from one snapshot.
+func TestNotificationsMatchPolls(t *testing.T) {
+	prog := workload.Hiring()
+	check := func(t *testing.T, c *Coordinator, submit func()) {
+		chans := make(map[schema.Peer]<-chan Notification)
+		for _, peer := range prog.Peers() {
+			ch, cancel, err := c.Subscribe(peer, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cancel()
+			chans[peer] = ch
+		}
+		submit()
+		if c.Dropped() != 0 {
+			t.Fatalf("%d notifications dropped", c.Dropped())
+		}
+		total := 0
+		for peer, ch := range chans {
+			polled, _, err := c.TransitionsAndLen(peer, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byIndex := make(map[int]Notification, len(polled))
+			for _, nt := range polled {
+				byIndex[nt.Index] = nt
+			}
+			got := 0
+			for ; len(ch) > 0; got++ {
+				nt := <-ch
+				if want, ok := byIndex[nt.Index]; !ok || !reflect.DeepEqual(nt, want) {
+					t.Fatalf("%s: notification %+v, poll %+v (found %v)", peer, nt, want, ok)
+				}
+			}
+			if got != len(polled) {
+				t.Fatalf("%s: %d notifications for %d polled transitions", peer, got, len(polled))
+			}
+			total += got
+		}
+		if total == 0 {
+			t.Fatal("no notifications delivered")
+		}
 	}
+
+	t.Run("in-memory", func(t *testing.T) {
+		c := New("Hiring", prog)
+		check(t, c, func() {
+			for _, s := range randomWorkload(t, prog, 5, 20) {
+				if _, err := c.Submit(s.peer, s.rule, s.bindings); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	})
+	t.Run("durable-group-commit", func(t *testing.T) {
+		c, err := NewDurable("Hiring", prog, DurabilityConfig{Dir: t.TempDir(), Sync: wal.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		check(t, c, func() {
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 8; i++ {
+						if _, err := c.Submit("hr", "clear", nil); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	})
 }
 
 // TestRecoverRebuildsExplainers is the satellite regression test for the
@@ -191,9 +292,9 @@ func TestRecoverRebuildsExplainers(t *testing.T) {
 	rc.mu.Unlock()
 }
 
-// TestReadPathMetrics pins the read-path observability surface: lock-free
-// and locked reads are counted on their own families, snapshot swaps
-// accumulate with releases, and the age gauge is sampled at scrape time.
+// TestReadPathMetrics pins the read-path observability surface: snapshot
+// swaps accumulate with releases, and the age gauge is sampled at scrape
+// time.
 func TestReadPathMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	prog := workload.Hiring()
@@ -203,28 +304,6 @@ func TestReadPathMetrics(t *testing.T) {
 	if _, err := c.Submit("hr", "clear", nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.View("hr"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Explain("hr"); err != nil {
-		t.Fatal(err)
-	}
-	if got := gaugeValue(t, reg, "wf_read_lockfree_total"); got != 2 {
-		t.Fatalf("wf_read_lockfree_total = %v, want 2", got)
-	}
-
-	c.SetLockedReads(true)
-	if _, err := c.View("hr"); err != nil {
-		t.Fatal(err)
-	}
-	c.SetLockedReads(false)
-	if got := gaugeValue(t, reg, "wf_read_locked_total"); got != 1 {
-		t.Fatalf("wf_read_locked_total = %v, want 1", got)
-	}
-	if got := gaugeValue(t, reg, "wf_read_lockfree_total"); got != 2 {
-		t.Fatalf("wf_read_lockfree_total moved to %v on the locked path", got)
-	}
-
 	// One publication per release; the construction-time swap predates
 	// Instrument and is uncounted (seq still records it).
 	if got := gaugeValue(t, reg, "wf_snapshot_swaps_total"); got != 1 {
@@ -279,7 +358,7 @@ func TestViewStringCacheBounded(t *testing.T) {
 	if max := viewStrWindow * len(prog.Peers()); n > max {
 		t.Fatalf("%d cached view strings, want at most %d", n, max)
 	}
-	s := c.readSnapshot()
+	s := c.snap.Load()
 	for i, peer := range prog.Peers() {
 		if got := c.snapView(s, -1, peer); got != first[i] {
 			t.Fatalf("re-rendered initial view of %s = %q, want %q", peer, got, first[i])
